@@ -54,7 +54,7 @@ int main() {
   outage_spec.tol = 0.5;
   outage_spec.faults = &outages;
 
-  std::vector<core::SchedulerStats> storm_stats(1);
+  obs::Registry storm_registry;
   dc::CampaignRunner runner(bench::campaign_config());
   for (const auto& [name, regions] : subsets) {
     runner.add_baseline(name, "Baseline", [&, regions](dc::ScenarioContext&) {
@@ -71,7 +71,7 @@ int main() {
   runner.add({storm_name, "WaterWise", false, [&](dc::ScenarioContext&) {
                 core::WaterWiseScheduler ww;
                 auto res = bench::run_campaign(full_jobs, ww, outage_spec);
-                storm_stats[0] = ww.stats();
+                storm_registry = ww.registry();
                 return res;
               }});
   const auto outcomes = bench::run_and_time(runner);
@@ -87,7 +87,7 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "\n";
-  bench::print_degradation_counters(storm_name, storm_stats[0]);
+  bench::print_degradation_counters(storm_name, storm_registry);
   std::cout << "\nShape check vs. paper: savings persist under every subset; the\n"
                "Zurich-Milan-Mumbai panel (large carbon-intensity spread) yields\n"
                "the largest carbon savings.  The injected-outage panel loses\n"

@@ -1,9 +1,12 @@
 // Fig. 13: decision-making overhead of WaterWise over time, as % of mean job
 // execution time, on both the Google-Borg-rate and Alibaba-rate traces.
 // Paper: < 0.2% throughout, higher for Alibaba (8.5x invocation rate).
+#include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "obs/trace.hpp"
@@ -12,9 +15,26 @@
 
 namespace {
 
+/// Value of the registry gauge "sched.<name>" (the solver wall-clock sums);
+/// throws if it was never registered, like bench::sched_counter.
+double sched_gauge(const ww::obs::Registry& registry, const std::string& name) {
+  const double* value = registry.find_gauge("sched." + name);
+  if (value == nullptr)
+    throw std::runtime_error("registry has no gauge 'sched." + name + "'");
+  return *value;
+}
+
 void report(const char* label, const ww::dc::CampaignResult& res,
-            const ww::core::SchedulerStats& solver) {
+            const ww::obs::Registry& registry) {
   using namespace ww;
+  const auto c = [&registry](const char* name) {
+    return bench::sched_counter(registry, name);
+  };
+  // Non-root branch-and-bound nodes: the population the warm-start path
+  // can cover (0 when no tree ever branched).
+  const std::uint64_t nodes = c("nodes_explored");
+  const std::uint64_t solves = c("milp_solves");
+  const std::uint64_t non_root = nodes > solves ? nodes - solves : 0;
   std::cout << "\n" << label << ": mean batch decision time "
             << util::Table::fixed(res.batch_decision_seconds.mean() * 1000.0, 3)
             << " ms, p max "
@@ -22,32 +42,32 @@ void report(const char* label, const ww::dc::CampaignResult& res,
             << " ms, overhead "
             << util::Table::fixed(res.mean_overhead_pct_of_exec(), 4)
             << "% of mean execution time\n";
-  std::cout << "  solver: " << solver.milp_solves << " MILPs, "
-            << solver.nodes_explored << " nodes, "
-            << solver.simplex_iterations << " simplex iterations, "
-            << solver.warm_started_nodes << "/" << solver.non_root_nodes()
+  std::cout << "  solver: " << solves << " MILPs, " << nodes << " nodes, "
+            << c("simplex_iterations") << " simplex iterations, "
+            << c("warm_started_nodes") << "/" << non_root
             << " non-root nodes warm-started ("
-            << solver.phase1_nodes << " phase-1 nodes, "
-            << solver.soft_fallbacks << " soft fallbacks, "
-            << util::Table::fixed(solver.solve_seconds, 3)
+            << c("phase1_nodes") << " phase-1 nodes, "
+            << c("soft_fallbacks") << " soft fallbacks, "
+            << util::Table::fixed(sched_gauge(registry, "solve_seconds"), 3)
             << " s in milp::solve)\n";
-  std::cout << "  kernel: " << solver.refactorizations
-            << " LU refactorizations, " << solver.ft_updates
-            << " Forrest-Tomlin updates, " << solver.seeded_incumbents
+  std::cout << "  kernel: " << c("refactorizations")
+            << " LU refactorizations, " << c("ft_updates")
+            << " Forrest-Tomlin updates, " << c("seeded_incumbents")
             << " greedy-seeded solves\n";
-  std::cout << "  pipeline: " << solver.chunks_planned << " chunk plans, "
-            << solver.spill_resolves << " spill re-solves covering "
-            << solver.spill_jobs << " job(s)\n";
-  std::cout << "  degradation: " << solver.fault_events << " fault events, "
-            << solver.degraded_windows << " degraded windows, "
-            << solver.solve_retries << " solve retries, "
-            << solver.fallback_placements << " fallback placements, "
-            << solver.deferred_jobs << " deferred job(s)\n";
-  std::cout << "  presolve: " << solver.presolve_rows_removed << " rows, "
-            << solver.presolve_cols_removed << " cols, "
-            << solver.presolve_nonzeros_removed
+  std::cout << "  pipeline: " << c("chunks_planned") << " chunk plans, "
+            << c("spill_resolves") << " spill re-solves covering "
+            << c("spill_jobs") << " job(s)\n";
+  std::cout << "  degradation: " << c("fault_events") << " fault events, "
+            << c("degraded_windows") << " degraded windows, "
+            << c("solve_retries") << " solve retries, "
+            << c("fallback_placements") << " fallback placements, "
+            << c("deferred_jobs") << " deferred job(s)\n";
+  std::cout << "  presolve: " << c("presolve_rows_removed") << " rows, "
+            << c("presolve_cols_removed") << " cols, "
+            << c("presolve_nonzeros_removed")
             << " nonzeros removed before the simplex ("
-            << util::Table::fixed(solver.presolve_seconds * 1000.0, 3)
+            << util::Table::fixed(
+                   sched_gauge(registry, "presolve_seconds") * 1000.0, 3)
             << " ms total)\n";
 
   // Time series in 10-minute buckets (paper plots minutes on the x-axis).
@@ -90,7 +110,7 @@ void chunk_parallel_selfcheck() {
 /// Scenarios × chunks fan-out-shape panel: the same K-scenario × C-chunk
 /// campaign run at the four (campaign jobs, solver_threads) corners.  (K, C)
 /// used to be the nested-pool configuration that oversubscribed K·C threads
-/// across two ThreadPools; every corner now shares the one work-stealing
+/// across two separate pools; every corner now shares the one work-stealing
 /// pool, so the knobs select the *fan-out shape* — which layers spawn tasks
 /// versus run inline — not the worker count: the global pool is created with
 /// hardware_concurrency workers and `ensure_workers` only grows it, so all
@@ -162,16 +182,18 @@ void scenario_chunk_scaling_panel() {
                "byte-identical on the unified pool\n";
 }
 
-/// Tracing-overhead panel: the one-burst campaign timed with spans off and
-/// with spans on (best of three each, so scheduler noise on a loaded runner
-/// does not decide the verdict).  The disabled path is a single relaxed
-/// atomic load, so the on/off delta is the full cost of the span layer; the
-/// self-check exits nonzero if that cost exceeds 5% of the untraced
-/// wall-clock.
+/// Tracing-overhead panel: the one-burst campaign timed in interleaved
+/// spans-off/spans-on pairs, alternating which side of a pair runs first, so
+/// load drift on a shared runner lands on both sides alike instead of on
+/// whichever side ran last.  The verdict is the median of the per-pair
+/// relative deltas, so a few noisy pairs cannot decide it.  The disabled
+/// path is a single relaxed atomic load, so the on/off delta is the full
+/// cost of the span layer; the self-check exits nonzero if that cost exceeds
+/// 5% of the untraced wall-clock.
 void tracing_overhead_panel() {
   using namespace ww;
-  // 0.1 sim-days keeps each timed run ~100 ms: long enough that scheduler
-  // noise stays well under the 5% gate, short enough for six runs.
+  // 0.1 sim-days keeps each timed run ~100 ms: long enough that timer
+  // resolution is irrelevant, short enough for a warm-up plus 21 pairs.
   auto jobs = trace::generate_trace(trace::borg_config(7, 0.1));
   for (auto& j : jobs) j.submit_time = 0.0;
   bench::CampaignSpec spec;
@@ -183,25 +205,34 @@ void tracing_overhead_panel() {
     const util::Stopwatch watch;
     const dc::CampaignResult res = bench::run_campaign(jobs, ww, spec);
     const double seconds = watch.elapsed_seconds();
+    // Every traced run starts from an empty event buffer, and the panel's
+    // events never reach a WW_TRACE export of the real campaigns below.
+    obs::Trace::instance().clear();
     if (res.num_jobs == 0) {
       std::cerr << "tracing-overhead panel: empty campaign\n";
       std::exit(1);
     }
     return seconds;
   };
-  double off_s = std::numeric_limits<double>::infinity();
-  double on_s = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 3; ++i) off_s = std::min(off_s, time_once(false));
-  for (int i = 0; i < 3; ++i) on_s = std::min(on_s, time_once(true));
+  constexpr int kPairs = 21;
+  std::vector<double> off_s, on_s, delta_pct;
+  (void)time_once(false);  // warm-up: page in code, data and allocator arenas
+  for (int i = 0; i < kPairs; ++i) {
+    const bool on_first = i % 2 == 1;
+    const double first = time_once(on_first);
+    const double second = time_once(!on_first);
+    off_s.push_back(on_first ? second : first);
+    on_s.push_back(on_first ? first : second);
+    delta_pct.push_back(100.0 * (on_s.back() - off_s.back()) / off_s.back());
+  }
   obs::Trace::instance().set_enabled(was_enabled);
-  // Drop the panel's own events so a WW_TRACE export below covers only the
-  // real campaigns.
-  obs::Trace::instance().clear();
-  const double pct = 100.0 * (on_s - off_s) / off_s;
+  const double pct = util::percentile(delta_pct, 50.0);
   std::cout << "[tracing-overhead] spans off "
-            << util::Table::fixed(off_s * 1000.0, 1) << " ms, on "
-            << util::Table::fixed(on_s * 1000.0, 1) << " ms, delta "
-            << util::Table::fixed(pct, 2) << "% (best of 3 each, gate 5%)\n";
+            << util::Table::fixed(util::percentile(off_s, 50.0) * 1000.0, 1)
+            << " ms, on "
+            << util::Table::fixed(util::percentile(on_s, 50.0) * 1000.0, 1)
+            << " ms, delta " << util::Table::fixed(pct, 2) << "% (median of "
+            << kPairs << " interleaved pairs, gate 5%)\n";
   if (pct > 5.0) {
     std::cerr << "self-check FAILED: span tracing costs "
               << util::Table::fixed(pct, 2)
@@ -237,15 +268,21 @@ int main() {
       r_ali = bench::run_campaign(ali, ww_ali, spec);
   });
 
-  report("Google Borg trace", r_borg, ww_borg.stats());
-  report("Alibaba trace", r_ali, ww_ali.stats());
+  const obs::Registry& reg_borg = ww_borg.registry();
+  const obs::Registry& reg_ali = ww_ali.registry();
+  report("Google Borg trace", r_borg, reg_borg);
+  report("Alibaba trace", r_ali, reg_ali);
 
-  core::SchedulerStats total = ww_borg.stats();
-  total += ww_ali.stats();
-  std::cout << "\nBoth traces combined: " << total.milp_solves << " MILPs over "
-            << total.chunks_planned << " chunk plans, "
-            << total.simplex_iterations << " simplex iterations, "
-            << util::Table::fixed(total.solve_seconds, 3)
+  const auto total = [&](const char* name) {
+    return bench::sched_counter(reg_borg, name) +
+           bench::sched_counter(reg_ali, name);
+  };
+  std::cout << "\nBoth traces combined: " << total("milp_solves")
+            << " MILPs over " << total("chunks_planned") << " chunk plans, "
+            << total("simplex_iterations") << " simplex iterations, "
+            << util::Table::fixed(sched_gauge(reg_borg, "solve_seconds") +
+                                      sched_gauge(reg_ali, "solve_seconds"),
+                                  3)
             << " s in milp::solve (" << ww_borg.effective_solver_threads()
             << " solver thread(s) per scheduler)\n";
 

@@ -73,7 +73,7 @@ int main() {
   // Shared campaign plumbing: each (case, policy) pair is an independent
   // CampaignRunner scenario; WaterWise degradation counters are captured
   // per case so the fault campaigns can report what the ladder absorbed.
-  std::vector<core::SchedulerStats> ww_stats(cases.size());
+  std::vector<obs::Registry> ww_regs(cases.size());
   dc::CampaignRunner runner(bench::campaign_config());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     runner.add_baseline(cases[i].label, "Baseline",
@@ -83,11 +83,11 @@ int main() {
                                                    cases[i].spec);
                         });
     runner.add({cases[i].label, "WaterWise", false,
-                [&cases, &ww_stats, i](dc::ScenarioContext&) {
+                [&cases, &ww_regs, i](dc::ScenarioContext&) {
                   core::WaterWiseScheduler ww;
                   auto res = bench::run_campaign(*cases[i].trace, ww,
                                                  cases[i].spec);
-                  ww_stats[i] = ww.stats();
+                  ww_regs[i] = ww.registry();
                   return res;
                 }});
   }
@@ -106,7 +106,7 @@ int main() {
   table.print(std::cout);
   std::cout << "\n";
   for (std::size_t i = 0; i < cases.size(); ++i)
-    bench::print_degradation_counters(cases[i].label, ww_stats[i]);
+    bench::print_degradation_counters(cases[i].label, ww_regs[i]);
   std::cout << "\nShape check vs. paper: savings survive every +-10% estimation\n"
                "perturbation and the doubled request rate (paper: 21.7% carbon /\n"
                "10.2% water at 2x rate).  The injected forecast-bias campaigns\n"

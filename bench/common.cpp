@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -132,7 +133,7 @@ bool check_chunk_parallel_equivalence(const std::vector<trace::Job>& jobs,
   rec_spec.sim.record_jobs = true;
 
   std::optional<dc::CampaignResult> ref;
-  long ref_chunks = 0;
+  std::uint64_t ref_chunks = 0;
   std::size_t ref_threads = 0;
   bool ok = true;
   for (const int threads : {1, 2, 4, 8}) {
@@ -141,7 +142,7 @@ bool check_chunk_parallel_equivalence(const std::vector<trace::Job>& jobs,
     const dc::CampaignResult res = run_campaign(jobs, ww, rec_spec);
     if (!ref) {
       ref = res;
-      ref_chunks = ww.stats().chunks_planned;
+      ref_chunks = sched_counter(ww.registry(), "chunks_planned");
       ref_threads = ww.effective_solver_threads();
       continue;
     }
@@ -176,14 +177,22 @@ bool check_chunk_parallel_equivalence(const std::vector<trace::Job>& jobs,
   return ok;
 }
 
+std::uint64_t sched_counter(const obs::Registry& registry,
+                            const std::string& name) {
+  const std::uint64_t* value = registry.find_counter("sched." + name);
+  if (value == nullptr)
+    throw std::runtime_error("registry has no counter 'sched." + name + "'");
+  return *value;
+}
+
 void print_degradation_counters(const std::string& label,
-                                const core::SchedulerStats& stats) {
-  std::cout << "[degradation] " << label << ": fault_events="
-            << stats.fault_events << " degraded_windows="
-            << stats.degraded_windows << " solve_retries="
-            << stats.solve_retries << " fallback_placements="
-            << stats.fallback_placements << " deferred_jobs="
-            << stats.deferred_jobs << "\n";
+                                const obs::Registry& registry) {
+  std::cout << "[degradation] " << label << ":";
+  for (const char* name : {"fault_events", "degraded_windows",
+                           "solve_retries", "fallback_placements",
+                           "deferred_jobs"})
+    std::cout << " " << name << "=" << sched_counter(registry, name);
+  std::cout << "\n";
 }
 
 void print_service_metrics(const std::string& label,

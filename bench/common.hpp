@@ -7,6 +7,7 @@
 // pool; results are deterministic regardless of parallelism.
 #pragma once
 
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -99,11 +100,17 @@ enum class Policy {
     const std::vector<trace::Job>& jobs, const CampaignSpec& spec,
     core::WaterWiseConfig ww_config = {});
 
-/// Prints the one-line degradation/fault summary for a WaterWise run:
-/// fault events, degraded windows, solve retries, fallback placements,
-/// deferred jobs (see core::SchedulerStats).
+/// Lifetime value of a WaterWise scheduler's registry counter
+/// "sched.<name>"; throws if it was never registered, so a renamed counter
+/// fails loudly instead of printing 0.
+[[nodiscard]] std::uint64_t sched_counter(const obs::Registry& registry,
+                                          const std::string& name);
+
+/// Prints the one-line degradation/fault summary for a WaterWise run from
+/// its registry: fault events, degraded windows, solve retries, fallback
+/// placements, deferred jobs.
 void print_degradation_counters(const std::string& label,
-                                const core::SchedulerStats& stats);
+                                const obs::Registry& registry);
 
 /// Prints the service-level metrics panel (ROADMAP item 4) from a WaterWise
 /// scheduler's registry: per-window decision-latency p50/p95/p99, queue

@@ -66,6 +66,10 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
 
 void WaterWiseScheduler::register_metrics() {
   auto& r = registry_;
+  // Solver work per milp::solve (add_solve): tree size, warm-start coverage
+  // (warm_started_nodes re-solved from a parent basis, phase1_nodes that
+  // needed artificials), sparse-kernel work, greedy-seeded solves, and the
+  // presolve reductions the simplex never saw.
   handles_.milp_solves = r.counter("sched.milp_solves");
   handles_.soft_fallbacks = r.counter("sched.soft_fallbacks");
   handles_.nodes_explored = r.counter("sched.nodes_explored");
@@ -79,15 +83,19 @@ void WaterWiseScheduler::register_metrics() {
   handles_.presolve_cols_removed = r.counter("sched.presolve_cols_removed");
   handles_.presolve_nonzeros_removed =
       r.counter("sched.presolve_nonzeros_removed");
+  // Pipeline: chunk plans produced, spill re-solves and the jobs they took.
   handles_.chunks_planned = r.counter("sched.chunks_planned");
   handles_.spill_jobs = r.counter("sched.spill_jobs");
   handles_.spill_resolves = r.counter("sched.spill_resolves");
+  // Retry ladder and degraded mode (see "Graceful degradation"):
+  // soft_fallbacks counts hard models that failed into the soft model.
   handles_.fault_events = r.counter("sched.fault_events");
   handles_.degraded_windows = r.counter("sched.degraded_windows");
   handles_.solve_retries = r.counter("sched.solve_retries");
   handles_.fallback_placements = r.counter("sched.fallback_placements");
   handles_.deferred_jobs = r.counter("sched.deferred_jobs");
   handles_.windows = r.counter("sched.windows");
+  // Wall-clock sums inside milp::solve (presolve included in solve).
   handles_.presolve_seconds = r.gauge("sched.presolve_seconds");
   handles_.solve_seconds = r.gauge("sched.solve_seconds");
   // Service-level distributions (ROADMAP item 4).  decision_latency is
@@ -105,62 +113,23 @@ void WaterWiseScheduler::register_metrics() {
   handles_.pool_depth = r.gauge("pool.queue_depth");
 }
 
-void WaterWiseScheduler::fold_stats(const SchedulerStats& delta) {
-  const auto add = [this](obs::Counter c, long v) {
-    if (v > 0) registry_.add(c, static_cast<std::uint64_t>(v));
+void WaterWiseScheduler::add_solve(const milp::Solution& sol,
+                                   obs::Shard& shard) const {
+  const auto add = [&shard](obs::Counter c, long v) {
+    if (v > 0) shard.add(c, static_cast<std::uint64_t>(v));
   };
-  add(handles_.milp_solves, delta.milp_solves);
-  add(handles_.soft_fallbacks, delta.soft_fallbacks);
-  add(handles_.nodes_explored, delta.nodes_explored);
-  add(handles_.simplex_iterations, delta.simplex_iterations);
-  add(handles_.warm_started_nodes, delta.warm_started_nodes);
-  add(handles_.phase1_nodes, delta.phase1_nodes);
-  add(handles_.refactorizations, delta.refactorizations);
-  add(handles_.ft_updates, delta.ft_updates);
-  add(handles_.seeded_incumbents, delta.seeded_incumbents);
-  add(handles_.presolve_rows_removed, delta.presolve_rows_removed);
-  add(handles_.presolve_cols_removed, delta.presolve_cols_removed);
-  add(handles_.presolve_nonzeros_removed, delta.presolve_nonzeros_removed);
-  add(handles_.chunks_planned, delta.chunks_planned);
-  add(handles_.spill_jobs, delta.spill_jobs);
-  add(handles_.spill_resolves, delta.spill_resolves);
-  add(handles_.fault_events, delta.fault_events);
-  add(handles_.degraded_windows, delta.degraded_windows);
-  add(handles_.solve_retries, delta.solve_retries);
-  add(handles_.fallback_placements, delta.fallback_placements);
-  add(handles_.deferred_jobs, delta.deferred_jobs);
-  registry_.add(handles_.presolve_seconds, delta.presolve_seconds);
-  registry_.add(handles_.solve_seconds, delta.solve_seconds);
-}
-
-const SchedulerStats& WaterWiseScheduler::stats() const {
-  const auto get = [this](obs::Counter c) {
-    return static_cast<long>(registry_.counter_value(c));
-  };
-  SchedulerStats& s = stats_view_;
-  s.milp_solves = get(handles_.milp_solves);
-  s.soft_fallbacks = get(handles_.soft_fallbacks);
-  s.nodes_explored = get(handles_.nodes_explored);
-  s.simplex_iterations = get(handles_.simplex_iterations);
-  s.warm_started_nodes = get(handles_.warm_started_nodes);
-  s.phase1_nodes = get(handles_.phase1_nodes);
-  s.refactorizations = get(handles_.refactorizations);
-  s.ft_updates = get(handles_.ft_updates);
-  s.seeded_incumbents = get(handles_.seeded_incumbents);
-  s.presolve_rows_removed = get(handles_.presolve_rows_removed);
-  s.presolve_cols_removed = get(handles_.presolve_cols_removed);
-  s.presolve_nonzeros_removed = get(handles_.presolve_nonzeros_removed);
-  s.chunks_planned = get(handles_.chunks_planned);
-  s.spill_jobs = get(handles_.spill_jobs);
-  s.spill_resolves = get(handles_.spill_resolves);
-  s.fault_events = get(handles_.fault_events);
-  s.degraded_windows = get(handles_.degraded_windows);
-  s.solve_retries = get(handles_.solve_retries);
-  s.fallback_placements = get(handles_.fallback_placements);
-  s.deferred_jobs = get(handles_.deferred_jobs);
-  s.presolve_seconds = registry_.gauge_value(handles_.presolve_seconds);
-  s.solve_seconds = registry_.gauge_value(handles_.solve_seconds);
-  return stats_view_;
+  shard.add(handles_.milp_solves);
+  add(handles_.nodes_explored, sol.nodes_explored);
+  add(handles_.simplex_iterations, sol.simplex_iterations);
+  add(handles_.warm_started_nodes, sol.warm_started_nodes);
+  add(handles_.phase1_nodes, sol.phase1_nodes);
+  add(handles_.refactorizations, sol.refactorizations);
+  add(handles_.ft_updates, sol.ft_updates);
+  add(handles_.presolve_rows_removed, sol.presolve_rows_removed);
+  add(handles_.presolve_cols_removed, sol.presolve_cols_removed);
+  add(handles_.presolve_nonzeros_removed, sol.presolve_nonzeros_removed);
+  shard.add(handles_.presolve_seconds, sol.presolve_seconds);
+  shard.add(handles_.solve_seconds, sol.solve_seconds);
 }
 
 std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
@@ -173,7 +142,7 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
 milp::Solution WaterWiseScheduler::run_model(
     const std::vector<const dc::PendingJob*>& chunk,
     const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-    long budget_scale, int* out_num_assign_vars, SchedulerStats& stats) const {
+    long budget_scale, int* out_num_assign_vars, obs::Shard& shard) const {
   const int m = static_cast<int>(chunk.size());
   const int n = static_cast<int>(quota.size());
   milp::Model model;
@@ -426,13 +395,13 @@ milp::Solution WaterWiseScheduler::run_model(
     }
     if (ok) {
       seed = milp::Solution::incumbent_from_heuristic(model, std::move(vals));
-      ++stats.seeded_incumbents;
+      shard.add(handles_.seeded_incumbents);
     }
   }
 
   milp::Solution sol =
       milp::solve(model, options, seed ? &*seed : nullptr);
-  stats.add_solve(sol);
+  add_solve(sol, shard);
   return sol;
 }
 
@@ -555,14 +524,17 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   // MILP, 2 = relaxed-budget retry, 3 = greedy fallback.  Annotated on the
   // span together with the per-solve solver counters.
   int rung = 1;
-  const auto annotate = [&span, &out](int final_rung) {
+  const auto annotate = [this, &span, &out](int final_rung) {
+    const auto count = [&out](obs::Counter c) {
+      return out.shard.counter_value(c);
+    };
     span.arg("rung", final_rung);
-    span.arg("milp_solves", out.stats.milp_solves);
-    span.arg("simplex_iterations", out.stats.simplex_iterations);
-    span.arg("nodes_explored", out.stats.nodes_explored);
-    span.arg("ft_updates", out.stats.ft_updates);
-    span.arg("presolve_rows_removed", out.stats.presolve_rows_removed);
-    span.arg("retries", out.stats.solve_retries);
+    span.arg("milp_solves", count(handles_.milp_solves));
+    span.arg("simplex_iterations", count(handles_.simplex_iterations));
+    span.arg("nodes_explored", count(handles_.nodes_explored));
+    span.arg("ft_updates", count(handles_.ft_updates));
+    span.arg("presolve_rows_removed", count(handles_.presolve_rows_removed));
+    span.arg("retries", count(handles_.solve_retries));
     span.arg("decisions", out.decisions.size());
   };
 
@@ -574,7 +546,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     if (!env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
                                      attempt, config_.solve_failure_rate))
       return false;
-    ++out.stats.fault_events;
+    out.shard.add(handles_.fault_events);
     return true;
   };
 
@@ -590,18 +562,18 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   bool proven_infeasible = false;
   if (config_.enable_soft_constraints) {
     sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.stats);
+                    /*budget_scale=*/1, &num_x, out.shard);
     if (injected(0)) sol = milp::Solution{};
     if (!sol.usable()) {
       // Algorithm 1, lines 10-11: soften and retry.
-      ++out.stats.soft_fallbacks;
+      out.shard.add(handles_.soft_fallbacks);
       sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/true,
-                      /*budget_scale=*/1, &num_x, out.stats);
+                      /*budget_scale=*/1, &num_x, out.shard);
       if (injected(1)) sol = milp::Solution{};
     }
   } else {
     sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.stats);
+                    /*budget_scale=*/1, &num_x, out.shard);
     proven_infeasible = sol.status == milp::Status::Infeasible;
     // An injected failure loses the outcome *and* the infeasibility proof.
     if (injected(1)) {
@@ -611,10 +583,10 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   }
 
   if (!sol.usable() && !proven_infeasible) {
-    ++out.stats.solve_retries;
+    out.shard.add(handles_.solve_retries);
     sol = run_model(plan.jobs, plan.quota, ctx,
                     /*soft=*/config_.enable_soft_constraints,
-                    config_.retry_budget_multiplier, &num_x, out.stats);
+                    config_.retry_budget_multiplier, &num_x, out.shard);
     if (injected(2)) sol = milp::Solution{};
     if (sol.usable()) rung = 2;
   }
@@ -637,7 +609,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
         continue;
       }
       --out.leftover[static_cast<std::size_t>(r)];
-      ++out.stats.fallback_placements;
+      out.shard.add(handles_.fallback_placements);
       const double start =
           ctx.now + ctx.env->transfer_latency_seconds(p->job->home_region, r,
                                                       p->job->package_bytes);
@@ -704,7 +676,6 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   for (ChunkResult& r : results) {
     // Registry accumulation in chunk-index order (results are sorted
     // above), so counter and histogram bytes match at every thread count.
-    fold_stats(r.stats);
     registry_.merge_shard(r.shard);
     decisions.insert(decisions.end(), r.decisions.begin(), r.decisions.end());
     for (std::size_t i = 0; i < spill.size(); ++i)
@@ -749,7 +720,6 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
                              ") failed at window t=" + std::to_string(ctx.now) +
                              ": " + e.what());
   }
-  fold_stats(rr.stats);
   registry_.merge_shard(rr.shard);
   decisions.insert(decisions.end(), rr.decisions.begin(), rr.decisions.end());
   // Whatever even the spill re-solve could not place defers explicitly:

@@ -32,9 +32,9 @@
 //      a region.
 //   2. `solve_one()` is `const` and side-effect-free: it builds, presolves
 //      and branch-and-bounds one chunk against its private quota and returns
-//      a self-contained `ChunkResult` (decisions, a `SchedulerStats` delta,
-//      leftover quota, spill-eligible jobs).  Pure per-chunk work is what
-//      makes the fan-out sound at any thread count.
+//      a self-contained `ChunkResult` (decisions, an `obs::Shard` of
+//      counter deltas, leftover quota, spill-eligible jobs).  Pure per-chunk
+//      work is what makes the fan-out sound at any thread count.
 //   3. `commit()` merges results in chunk-index order — the only stage that
 //      touches scheduler state — returns unused quota to a spill pool, and
 //      re-solves any spill-eligible remainder serially against that pool.
@@ -62,11 +62,11 @@
 // node/iteration budgets -> guaranteed-feasible greedy placement
 // (sched::greedy_fallback_assign) -> explicit deferral.  Every rung is
 // deterministic — budgets are node/iteration counts, never wall-clock — and
-// every job ends placed or counted in `SchedulerStats::deferred_jobs`;
-// nothing is silently dropped.  A per-region Normal -> Degraded -> Recovery
-// state machine (DegradedModeConfig) watches capacity losses and observed
-// intensity jumps and clamps how much of a faulty region's capacity new
-// placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
+// every job ends placed or counted in the `sched.deferred_jobs` registry
+// counter; nothing is silently dropped.  A per-region Normal -> Degraded ->
+// Recovery state machine (DegradedModeConfig) watches capacity losses and
+// observed intensity jumps and clamps how much of a faulty region's capacity
+// new placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
 // failures (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
@@ -166,116 +166,6 @@ struct WaterWiseConfig {
   }();
 };
 
-/// Aggregate Decision-Controller solver diagnostics over the scheduler's
-/// lifetime: how many MILPs ran, how big the trees were, and how much of
-/// the tree the warm-start path covered (Fig. 13 overhead attribution).
-///
-/// Since the observability PR this struct is a *view*, not the store: the
-/// scheduler accumulates every counter in its `obs::Registry` (typed
-/// handles, thread-sharded, merged in chunk-index order) and `stats()`
-/// materializes this struct from the registry on access.  The struct keeps
-/// two other jobs: `solve_one()` fills one per chunk as the self-contained
-/// per-chunk delta (`ChunkResult::stats`), and `operator+=` remains the
-/// canonical field-by-field merge for tests and benches that fold several
-/// schedulers' lifetimes together.  Service-level distributions (decision
-/// latency, queue depth, time-to-admission) live only in the registry —
-/// see `WaterWiseScheduler::registry()` and README "Observability".
-struct SchedulerStats {
-  long milp_solves = 0;
-  long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
-  long nodes_explored = 0;       ///< Branch-and-bound nodes across solves.
-  long simplex_iterations = 0;
-  long warm_started_nodes = 0;   ///< Nodes re-solved from a parent basis.
-  long phase1_nodes = 0;         ///< Nodes that needed phase-1 artificials.
-  long refactorizations = 0;     ///< Sparse-kernel LU factorizations.
-  long ft_updates = 0;           ///< Forrest-Tomlin basis updates absorbed.
-  /// Solves handed a greedy seed candidate (the solver re-validates the
-  /// seed against bounds/rows/integrality before adopting it).
-  long seeded_incumbents = 0;
-  /// Presolve reductions across all solves: model rows/columns/nonzeros the
-  /// simplex never saw (delay-fixed columns, redundant capacity rows, ...)
-  /// and the wall-clock the reductions cost (included in solve_seconds).
-  long presolve_rows_removed = 0;
-  long presolve_cols_removed = 0;
-  long presolve_nonzeros_removed = 0;
-  double presolve_seconds = 0.0;
-  double solve_seconds = 0.0;    ///< Wall-clock inside milp::solve.
-  /// Plan/solve/commit pipeline counters: chunk plans produced, jobs routed
-  /// through the serial spill re-solve, and spill re-solves run.
-  long chunks_planned = 0;
-  long spill_jobs = 0;
-  long spill_resolves = 0;
-  /// Fault/degradation counters (see "Graceful degradation" above):
-  /// injected-or-observed fault events, windows a region spent rail-capped
-  /// in Degraded state, relaxed-budget retry solves, greedy-ladder
-  /// placements, and jobs explicitly deferred to a later batch window.
-  long fault_events = 0;
-  long degraded_windows = 0;
-  long solve_retries = 0;
-  long fallback_placements = 0;
-  long deferred_jobs = 0;
-
-  /// Merges another stats delta (per-chunk result, or another scheduler's
-  /// lifetime stats) into this one.  All accumulation routes through here.
-  SchedulerStats& operator+=(const SchedulerStats& o) noexcept {
-    milp_solves += o.milp_solves;
-    soft_fallbacks += o.soft_fallbacks;
-    nodes_explored += o.nodes_explored;
-    simplex_iterations += o.simplex_iterations;
-    warm_started_nodes += o.warm_started_nodes;
-    phase1_nodes += o.phase1_nodes;
-    refactorizations += o.refactorizations;
-    ft_updates += o.ft_updates;
-    seeded_incumbents += o.seeded_incumbents;
-    presolve_rows_removed += o.presolve_rows_removed;
-    presolve_cols_removed += o.presolve_cols_removed;
-    presolve_nonzeros_removed += o.presolve_nonzeros_removed;
-    presolve_seconds += o.presolve_seconds;
-    solve_seconds += o.solve_seconds;
-    chunks_planned += o.chunks_planned;
-    spill_jobs += o.spill_jobs;
-    spill_resolves += o.spill_resolves;
-    fault_events += o.fault_events;
-    degraded_windows += o.degraded_windows;
-    solve_retries += o.solve_retries;
-    fallback_placements += o.fallback_placements;
-    deferred_jobs += o.deferred_jobs;
-    return *this;
-  }
-
-  /// Folds one milp::solve outcome into the counters.
-  void add_solve(const milp::Solution& sol) noexcept {
-    ++milp_solves;
-    nodes_explored += sol.nodes_explored;
-    simplex_iterations += sol.simplex_iterations;
-    warm_started_nodes += sol.warm_started_nodes;
-    phase1_nodes += sol.phase1_nodes;
-    refactorizations += sol.refactorizations;
-    ft_updates += sol.ft_updates;
-    presolve_rows_removed += sol.presolve_rows_removed;
-    presolve_cols_removed += sol.presolve_cols_removed;
-    presolve_nonzeros_removed += sol.presolve_nonzeros_removed;
-    presolve_seconds += sol.presolve_seconds;
-    solve_seconds += sol.solve_seconds;
-  }
-
-  /// Non-root branch-and-bound nodes across all solves (the population the
-  /// warm-start path can cover); 0 when no tree ever branched.
-  [[nodiscard]] long non_root_nodes() const noexcept {
-    return nodes_explored > milp_solves ? nodes_explored - milp_solves : 0;
-  }
-  /// Fraction of non-root nodes the warm-start path covered, in [0, 1].
-  /// 0 when nothing branched — report the raw counters alongside so a
-  /// branch-free workload is not mistaken for missing warm coverage.
-  [[nodiscard]] double warm_start_fraction() const noexcept {
-    const long non_root = non_root_nodes();
-    return non_root > 0
-               ? static_cast<double>(warm_started_nodes) /
-                     static_cast<double>(non_root)
-               : 0.0;
-  }
-};
-
 /// One chunk's share of a batch window: the jobs it must decide and the
 /// per-region capacity quota reserved exclusively for it.  Quotas of the
 /// plans returned by one `plan_chunks()` call are disjoint and sum to the
@@ -297,11 +187,11 @@ struct ChunkResult {
   /// soft-disabled ablation hit an infeasible hard model): eligible for one
   /// serial spill re-solve against the pooled leftover quota.
   std::vector<const dc::PendingJob*> unplaced;
-  SchedulerStats stats;  ///< Per-chunk delta, merged by commit().
-  /// Per-chunk registry slice (service histograms observed during the
-  /// solve, e.g. time-to-admission per placed job).  Filled in isolation by
-  /// the worker, folded by commit() in chunk-index order so histogram bins
-  /// are byte-identical at every thread count.
+  /// Per-chunk registry slice: the solver and retry-ladder counters, the
+  /// solve/presolve wall-clock sums, and the service histograms observed
+  /// during the solve (time-to-admission per placed job).  Filled in
+  /// isolation by the worker, folded by commit() in chunk-index order so
+  /// registry bytes are identical at every thread count.
   obs::Shard shard;
   /// Non-empty when the chunk solve threw: commit() re-throws fail-fast with
   /// this message plus chunk/window context, lowest chunk index first, so an
@@ -322,15 +212,14 @@ class WaterWiseScheduler final : public dc::Scheduler {
   [[nodiscard]] const WaterWiseConfig& config() const noexcept {
     return config_;
   }
-  /// Lifetime solver diagnostics: a SchedulerStats view materialized from
-  /// the metrics registry on each call (see the SchedulerStats comment).
-  [[nodiscard]] const SchedulerStats& stats() const;
-
-  /// The scheduler's metrics registry: every SchedulerStats counter under
-  /// "sched.*" plus the service-level distributions under "service.*"
-  /// (decision-latency seconds per window, queue depth per window,
-  /// time-to-admission seconds per placed job).  Counters and sim-time
-  /// histograms are deterministic; decision-latency is wall-clock and
+  /// The scheduler's metrics registry and the only store of its
+  /// diagnostics: the lifetime solver and retry-ladder counters under
+  /// "sched.*" (how many MILPs ran, how big the trees were, how much the
+  /// warm-start path covered — the Fig. 13 overhead attribution), the
+  /// solve/presolve wall-clock gauges, and the service-level distributions
+  /// under "service.*" (decision-latency seconds per window, queue depth per
+  /// window, time-to-admission seconds per placed job).  Counters and
+  /// sim-time histograms are deterministic; the wall-clock entries are
   /// observational only.
   [[nodiscard]] const obs::Registry& registry() const noexcept {
     return registry_;
@@ -355,11 +244,11 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// Stage 2: solves one chunk against its private quota (hard model, then
   /// the Algorithm-1 soft fallback) and extracts decisions.  Const and
   /// side-effect-free — safe to run concurrently for different plans; all
-  /// diagnostics land in the returned ChunkResult.
+  /// diagnostics land in the returned ChunkResult's shard.
   [[nodiscard]] ChunkResult solve_one(const ChunkPlan& plan,
                                       const dc::ScheduleContext& ctx) const;
 
-  /// Stage 3: merges results in chunk-index order (decisions, stats),
+  /// Stage 3: merges results in chunk-index order (decisions, shards),
   /// pools leftover quota, and re-solves spill-eligible jobs serially
   /// against the pool.  The only stage that mutates scheduler state.
   [[nodiscard]] std::vector<dc::Decision> commit(
@@ -369,11 +258,14 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// Builds and solves Eq. 8-13 for the chunk against `quota`; `soft`
   /// enables penalties; `budget_scale` multiplies the node/iteration budgets
   /// (saturating) for the ladder's retry rung.  Solver counters accumulate
-  /// into `stats`.
+  /// into `shard`.
   [[nodiscard]] milp::Solution run_model(
       const std::vector<const dc::PendingJob*>& chunk,
       const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-      long budget_scale, int* out_num_assign_vars, SchedulerStats& stats) const;
+      long budget_scale, int* out_num_assign_vars, obs::Shard& shard) const;
+
+  /// Counts one milp::solve outcome into a chunk shard.
+  void add_solve(const milp::Solution& sol, obs::Shard& shard) const;
 
   /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
   /// per batch window, serially, before the chunk fan-out.
@@ -402,8 +294,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx);
 
   /// Typed registry handles, resolved once at construction so the hot path
-  /// never does string lookups.  One counter per SchedulerStats long field,
-  /// one gauge per double field, plus the service-level histograms.
+  /// never does string lookups: the "sched.*" counters and wall-clock
+  /// gauges, plus the service-level histograms.
   struct Handles {
     obs::Counter milp_solves, soft_fallbacks, nodes_explored;
     obs::Counter simplex_iterations, warm_started_nodes, phase1_nodes;
@@ -421,15 +313,11 @@ class WaterWiseScheduler final : public dc::Scheduler {
     obs::Gauge pool_depth;
   };
   void register_metrics();
-  /// Folds a per-chunk SchedulerStats delta into the registry counters.
-  void fold_stats(const SchedulerStats& delta);
 
   WaterWiseConfig config_;
   std::unique_ptr<HistoryLearner> history_;
   obs::Registry registry_;
   Handles handles_;
-  /// Compatibility view rebuilt from the registry by stats().
-  mutable SchedulerStats stats_view_;
   std::vector<RegionHealth> health_;
   // No scheduler-local pool: multi-chunk windows fan out on the process
   // global util::WorkStealingPool, so campaign scenario tasks and chunk

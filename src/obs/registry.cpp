@@ -37,6 +37,15 @@ void Shard::add(Counter c, std::uint64_t delta) noexcept {
   counters_[c.id] += delta;
 }
 
+void Shard::add(Gauge g, double delta) noexcept {
+  if (!g.valid() || g.id >= gauges_.size()) return;
+  gauges_[g.id] += delta;
+}
+
+std::uint64_t Shard::counter_value(Counter c) const noexcept {
+  return c.valid() && c.id < counters_.size() ? counters_[c.id] : 0;
+}
+
 void Shard::observe(Hist h, double sample) noexcept {
   if (!h.valid() || h.id >= hists_.size()) return;
   hists_[h.id].add(sample);
@@ -110,6 +119,11 @@ const std::uint64_t* Registry::find_counter(const std::string& name) const {
   return it == counter_ids_.end() ? nullptr : &counters_[it->second];
 }
 
+const double* Registry::find_gauge(const std::string& name) const {
+  const auto it = gauge_ids_.find(name);
+  return it == gauge_ids_.end() ? nullptr : &gauges_[it->second];
+}
+
 const util::Histogram* Registry::find_hist(const std::string& name) const {
   const auto it = hist_ids_.find(name);
   return it == hist_ids_.end() ? nullptr : &hists_[it->second];
@@ -118,6 +132,7 @@ const util::Histogram* Registry::find_hist(const std::string& name) const {
 Shard Registry::make_shard() const {
   Shard shard;
   shard.counters_.assign(counters_.size(), 0);
+  shard.gauges_.assign(gauges_.size(), 0.0);
   shard.hists_.reserve(hists_.size());
   for (const util::Histogram& h : hists_)
     shard.hists_.emplace_back(h.lo(), h.hi(), h.bins());
@@ -129,6 +144,8 @@ void Registry::merge_shard(const Shard& shard) {
   // the missing tail slots simply contribute nothing.
   const std::size_t nc = std::min(shard.counters_.size(), counters_.size());
   for (std::size_t i = 0; i < nc; ++i) counters_[i] += shard.counters_[i];
+  const std::size_t ng = std::min(shard.gauges_.size(), gauges_.size());
+  for (std::size_t i = 0; i < ng; ++i) gauges_[i] += shard.gauges_[i];
   const std::size_t nh = std::min(shard.hists_.size(), hists_.size());
   for (std::size_t i = 0; i < nh; ++i) hists_[i].merge(shard.hists_[i]);
 }

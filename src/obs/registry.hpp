@@ -51,27 +51,33 @@ struct Hist {
 
 class Registry;
 
-/// Thread-local accumulation slice with the same counter/histogram layout
-/// as the registry that minted it (`Registry::make_shard`).  A worker fills
-/// its shard in isolation; the owner folds shards back with `merge_shard`
-/// in a deterministic order.  Default-constructed shards are empty and
-/// merge as no-ops, so carrying one in a result struct costs nothing when
-/// unused.  Gauges are deliberately absent: a "last write wins" cell has no
-/// order-independent merge.
+/// Thread-local accumulation slice with the same counter/gauge/histogram
+/// layout as the registry that minted it (`Registry::make_shard`).  A worker
+/// fills its shard in isolation; the owner folds shards back with
+/// `merge_shard` in a deterministic order.  Default-constructed shards are
+/// empty and merge as no-ops, so carrying one in a result struct costs
+/// nothing when unused.  Gauge slots are additive only (sums such as solver
+/// wall-clock): a "last write wins" `set` has no merge, so shards offer none.
 class Shard {
  public:
   Shard() = default;
 
   void add(Counter c, std::uint64_t delta = 1) noexcept;
+  void add(Gauge g, double delta) noexcept;
   void observe(Hist h, double sample) noexcept;
 
+  /// This shard's own accumulation so far (0 for handles it has no slot
+  /// for), e.g. for per-chunk span annotations before the fold.
+  [[nodiscard]] std::uint64_t counter_value(Counter c) const noexcept;
+
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && hists_.empty();
+    return counters_.empty() && gauges_.empty() && hists_.empty();
   }
 
  private:
   friend class Registry;
   std::vector<std::uint64_t> counters_;
+  std::vector<double> gauges_;
   std::vector<util::Histogram> hists_;
 };
 
@@ -98,14 +104,16 @@ class Registry {
   /// tests); nullptr when the name was never registered.
   [[nodiscard]] const std::uint64_t* find_counter(
       const std::string& name) const;
+  [[nodiscard]] const double* find_gauge(const std::string& name) const;
   [[nodiscard]] const util::Histogram* find_hist(const std::string& name) const;
 
-  /// Empty shard whose slots mirror every counter/histogram registered so
-  /// far (histograms copy their layout with zeroed bins).
+  /// Empty shard whose slots mirror every counter/gauge/histogram registered
+  /// so far (histograms copy their layout with zeroed bins).
   [[nodiscard]] Shard make_shard() const;
-  /// Folds a shard's counts into the registry.  Commutative and
-  /// associative, so any *fixed* fold order gives identical bytes; callers
-  /// supply that order (chunk index, scenario index).
+  /// Folds a shard's counts and gauge sums into the registry.  Counter and
+  /// histogram folds are commutative and associative; gauge sums are double
+  /// additions, which are not, so callers supply a *fixed* fold order
+  /// (chunk index, scenario index) and get identical bytes from it.
   void merge_shard(const Shard& shard);
 
   /// Name-ordered JSON: counters and gauges as flat maps, histograms with

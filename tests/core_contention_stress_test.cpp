@@ -181,7 +181,8 @@ TEST(SchedulerContention, ManySmallWindowsOversubscribedMatchesSerial) {
       const auto decisions = ww.schedule(batch, ctx);
       stream.insert(stream.end(), decisions.begin(), decisions.end());
     }
-    EXPECT_GT(ww.stats().chunks_planned, 12L) << "threads=" << threads;
+    EXPECT_GT(*ww.registry().find_counter("sched.chunks_planned"), 12u)
+        << "threads=" << threads;
     return stream;
   };
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,13 @@ class FixedCapacity final : public dc::CapacityView {
   std::vector<int> caps_;
 };
 
+/// Lifetime value of the registry counter "sched.<name>".
+long counter(const obs::Registry& reg, const std::string& name) {
+  const std::uint64_t* v = reg.find_counter("sched." + name);
+  EXPECT_NE(v, nullptr) << name;
+  return v == nullptr ? 0 : static_cast<long>(*v);
+}
+
 struct DirectRig {
   env::Environment env = env::Environment::builtin(small_env());
   footprint::FootprintModel fp{env};
@@ -114,14 +122,14 @@ TEST(RetryLadder, AllAttemptsInjectedStillPlacesEveryJobViaFallback) {
   for (const dc::Decision& d : placed) ids.insert(d.job_id);
   EXPECT_EQ(ids.size(), 12u) << "a job was placed twice";
 
-  const SchedulerStats& s = ww.stats();
+  const obs::Registry& reg = ww.registry();
   // One chunk (default max_jobs_per_solve), three injected discards on it
   // (post-probe, post-primary, post-retry), one budgeted retry, and every
   // placement from the greedy fallback.
-  EXPECT_EQ(s.fault_events, 3);
-  EXPECT_EQ(s.solve_retries, 1);
-  EXPECT_EQ(s.fallback_placements, 12);
-  EXPECT_EQ(s.deferred_jobs, 0);
+  EXPECT_EQ(counter(reg, "fault_events"), 3);
+  EXPECT_EQ(counter(reg, "solve_retries"), 1);
+  EXPECT_EQ(counter(reg, "fallback_placements"), 12);
+  EXPECT_EQ(counter(reg, "deferred_jobs"), 0);
 }
 
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
@@ -135,13 +143,14 @@ TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
     cfg.fault_seed = 1002;
     WaterWiseScheduler ww(cfg);
     auto decisions = rig.run(ww, caps);
-    return std::make_pair(std::move(decisions), ww.stats());
+    return std::make_pair(std::move(decisions), ww.registry());
   };
 
-  const auto [ref, ref_stats] = run(1);
-  EXPECT_GT(ref_stats.fault_events, 0) << "rate 0.35 injected nothing";
+  const auto [ref, ref_reg] = run(1);
+  EXPECT_GT(counter(ref_reg, "fault_events"), 0)
+      << "rate 0.35 injected nothing";
   for (const int threads : {2, 4}) {
-    const auto [got, got_stats] = run(threads);
+    const auto [got, got_reg] = run(threads);
     ASSERT_EQ(got.size(), ref.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(got[i].job_id, ref[i].job_id) << "threads=" << threads;
@@ -150,11 +159,11 @@ TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got[i].power_scale, ref[i].power_scale)
           << "threads=" << threads;
     }
-    EXPECT_EQ(got_stats.fault_events, ref_stats.fault_events);
-    EXPECT_EQ(got_stats.solve_retries, ref_stats.solve_retries);
-    EXPECT_EQ(got_stats.fallback_placements, ref_stats.fallback_placements);
-    EXPECT_EQ(got_stats.deferred_jobs, ref_stats.deferred_jobs);
-    EXPECT_EQ(got_stats.milp_solves, ref_stats.milp_solves);
+    for (const char* name : {"fault_events", "solve_retries",
+                             "fallback_placements", "deferred_jobs",
+                             "milp_solves"})
+      EXPECT_EQ(counter(got_reg, name), counter(ref_reg, name))
+          << name << " threads=" << threads;
   }
 }
 
@@ -188,13 +197,13 @@ TEST(TotalOutage, DefersExplicitlyAndPlacesEverythingAfterTheBlackout) {
         << "job " << j.job_id << " started inside the blackout";
   }
   EXPECT_EQ(ids.size(), 25u) << "a job was dropped or duplicated";
-  EXPECT_GT(ww.stats().deferred_jobs, 0)
+  EXPECT_GT(counter(ww.registry(), "deferred_jobs"), 0)
       << "blackout windows produced no explicit deferrals";
   // Note: degraded_windows stays 0 here by design — the outage starts at
   // t=0, so the state machine never observes healthy capacity to compare
   // against (max_capacity_seen is 0 throughout the blackout).  Transition
   // coverage lives in DegradedMode.StateMachineDegradesThenRecovers.
-  EXPECT_EQ(ww.stats().degraded_windows, 0);
+  EXPECT_EQ(counter(ww.registry(), "degraded_windows"), 0);
 }
 
 TEST(ChunkFailFast, ExceptionInPooledSolveSurfacesWithChunkContext) {
@@ -245,34 +254,35 @@ TEST(DegradedMode, StateMachineDegradesThenRecoversWithCapRails) {
   };
 
   (void)observe(up, 0.0);  // learn max capacity; all Normal
-  EXPECT_EQ(ww.stats().fault_events, 0);
+  EXPECT_EQ(counter(ww.registry(), "fault_events"), 0);
   (void)observe(down, 60.0);  // outage everywhere -> Degraded
-  EXPECT_EQ(ww.stats().fault_events, 5);
-  EXPECT_EQ(ww.stats().degraded_windows, 5);
+  EXPECT_EQ(counter(ww.registry(), "fault_events"), 5);
+  EXPECT_EQ(counter(ww.registry(), "degraded_windows"), 5);
   (void)observe(down, 120.0);
-  EXPECT_EQ(ww.stats().fault_events, 10);
+  EXPECT_EQ(counter(ww.registry(), "fault_events"), 10);
 
   // First clean window: still Degraded, so the 25% rail caps each region at
   // floor(0.25 * 10) = 2 -> at most 10 of the 40 burst jobs place, and the
   // remaining 30+ are explicit deferrals.
-  const long deferred_before = ww.stats().deferred_jobs;
+  const long deferred_before = counter(ww.registry(), "deferred_jobs");
   const auto degraded_placements = rig.run(ww, up, 180.0);
   EXPECT_LE(degraded_placements.size(), 10u);
-  EXPECT_GE(ww.stats().deferred_jobs - deferred_before, 30L);
+  EXPECT_GE(counter(ww.registry(), "deferred_jobs") - deferred_before, 30L);
 
   (void)observe(up, 240.0);
-  const long degraded_windows_peak = ww.stats().degraded_windows;
+  const long degraded_windows_peak =
+      counter(ww.registry(), "degraded_windows");
   (void)observe(up, 300.0);  // third clean window -> Recovery
   (void)observe(up, 360.0);
   (void)observe(up, 420.0);
   (void)observe(up, 480.0);  // recovery_windows elapsed -> Normal
-  EXPECT_EQ(ww.stats().degraded_windows, degraded_windows_peak)
+  EXPECT_EQ(counter(ww.registry(), "degraded_windows"), degraded_windows_peak)
       << "degraded-window counter kept growing after recovery began";
 
   // Fully recovered: the same burst now places in full under the same caps.
   const auto recovered = rig.run(ww, up, 540.0);
   EXPECT_EQ(recovered.size(), 40u);
-  EXPECT_EQ(ww.stats().fault_events, 10)
+  EXPECT_EQ(counter(ww.registry(), "fault_events"), 10)
       << "recovery windows raised spurious fault events";
 }
 

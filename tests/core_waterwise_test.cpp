@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/waterwise.hpp"
 #include "dc/simulator.hpp"
 #include "sched/basic.hpp"
@@ -165,27 +168,35 @@ TEST(WaterWise, UsesMilpSolver) {
   Rig rig;
   WaterWiseScheduler ww;
   (void)rig.run(ww);
-  EXPECT_GT(ww.stats().milp_solves, 0);
+  EXPECT_GT(*ww.registry().find_counter("sched.milp_solves"), 0u);
 }
 
-TEST(WaterWise, SchedulerStatsAccumulateSolverCounters) {
+TEST(WaterWise, RegistryAccumulatesSolverCounters) {
   Rig rig;
   WaterWiseScheduler ww;
   (void)rig.run(ww);
-  const SchedulerStats& st = ww.stats();
-  EXPECT_GT(st.milp_solves, 0);
+  const obs::Registry& reg = ww.registry();
+  const auto counter = [&reg](const std::string& name) {
+    const std::uint64_t* v = reg.find_counter("sched." + name);
+    EXPECT_NE(v, nullptr) << name;
+    return v == nullptr ? 0 : *v;
+  };
+  EXPECT_GT(counter("milp_solves"), 0u);
   // Presolve can decide a chunk model outright (empty reduced problem or
   // infeasibility proof), so some solves legitimately explore zero
   // branch-and-bound nodes; the tree can never exceed one root per solve
   // plus its branched children though, and most solves still reach it.
-  EXPECT_GT(st.nodes_explored, 0);
-  EXPECT_GT(st.simplex_iterations, 0);
-  EXPECT_GT(st.solve_seconds, 0.0);
+  EXPECT_GT(counter("nodes_explored"), 0u);
+  EXPECT_GT(counter("simplex_iterations"), 0u);
+  const double* solve_seconds = reg.find_gauge("sched.solve_seconds");
+  ASSERT_NE(solve_seconds, nullptr);
+  EXPECT_GT(*solve_seconds, 0.0);
+  const double* presolve_seconds = reg.find_gauge("sched.presolve_seconds");
+  ASSERT_NE(presolve_seconds, nullptr);
+  EXPECT_LE(*presolve_seconds, *solve_seconds);  // presolve is inside solve
   // Warm-started + cold nodes can never exceed the tree.
-  EXPECT_LE(st.warm_started_nodes + st.phase1_nodes, st.nodes_explored);
-  const double frac = st.warm_start_fraction();
-  EXPECT_GE(frac, 0.0);
-  EXPECT_LE(frac, 1.0);
+  EXPECT_LE(counter("warm_started_nodes") + counter("phase1_nodes"),
+            counter("nodes_explored"));
 }
 
 TEST(WaterWise, WarmAndColdSolverProduceIdenticalCampaigns) {

@@ -42,7 +42,7 @@ TEST(EdgeCases, MassiveSimultaneousBurstExercisesSlackManager) {
   core::WaterWiseScheduler ww;
   const auto res = sim.run(jobs, ww);
   EXPECT_EQ(res.num_jobs, 500);
-  EXPECT_GT(ww.stats().milp_solves, 0);
+  EXPECT_GT(*ww.registry().find_counter("sched.milp_solves"), 0u);
 }
 
 TEST(EdgeCases, ZeroDelayTolerance) {
@@ -150,7 +150,8 @@ TEST(EdgeCases, ExtremePackageSizes) {
   for (const auto& o : res.jobs)
     if (o.exec_region != o.home_region) ++remote;
   EXPECT_LE(remote, 5);
-  EXPECT_GT(ww.stats().soft_fallbacks, 0);  // Alg. 1 lines 10-11 exercised
+  EXPECT_GT(*ww.registry().find_counter("sched.soft_fallbacks"),
+            0u);  // Alg. 1 lines 10-11 exercised
 }
 
 TEST(EdgeCases, WaterWiseMaxJobsPerSolveChunking) {
@@ -166,7 +167,7 @@ TEST(EdgeCases, WaterWiseMaxJobsPerSolveChunking) {
   core::WaterWiseScheduler ww(ww_cfg);
   const auto res = sim.run(jobs, ww);
   EXPECT_EQ(res.num_jobs, 50);
-  EXPECT_GE(ww.stats().milp_solves, 50 / 7);
+  EXPECT_GE(*ww.registry().find_counter("sched.milp_solves"), 50u / 7);
 }
 
 TEST(EdgeCases, SolverIterationLimitDegradesGracefully) {
