@@ -7,11 +7,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/slack.hpp"
 #include "env/faults.hpp"
 #include "obs/trace.hpp"
-#include "sched/greedy_opt.hpp"
 #include "util/timer.hpp"
 
 namespace ww::core {
@@ -139,12 +139,166 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
       configured <= 0 ? 0 : static_cast<std::size_t>(configured));
 }
 
-milp::Solution WaterWiseScheduler::run_model(
-    const std::vector<const dc::PendingJob*>& chunk,
-    const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-    long budget_scale, int* out_num_assign_vars, obs::Shard& shard) const {
-  const int m = static_cast<int>(chunk.size());
-  const int n = static_cast<int>(quota.size());
+struct WaterWiseScheduler::ChunkPricing {
+  struct Job {
+    double allowance;     ///< Eq. 11 delay allowance left after waiting.
+    double penalty_rate;  ///< Eq. 12 objective weight per second of excess.
+  };
+  struct Pair {
+    double latency;     ///< Transfer latency from the job's home region.
+    double cost;        ///< Eq. 8 coefficient of x_mn, epsilon included.
+    double exceedance;  ///< latency - allowance.
+    /// The hard model's Eq. 11 rule: latency > allowance forbids the pair.
+    [[nodiscard]] bool late() const noexcept { return exceedance > 0.0; }
+  };
+  int n = 0;
+  std::vector<Job> jobs;
+  std::vector<Pair> pairs;  ///< Job-major: pair (j, r) is x variable j*n+r.
+  /// Region-level normalised carbon/water intensity: the greedy fallback's
+  /// cost, the Eq. 8 objective without the per-job energy factor (which
+  /// scales every region alike and so never changes the argmin).
+  std::vector<double> region_cost;
+
+  [[nodiscard]] const Pair& at(int j, int r) const {
+    return pairs[static_cast<std::size_t>(j * n + r)];
+  }
+};
+
+namespace {
+
+/// max(1e-12, v[0..n)): the Eq. 8 normaliser, positive even for all-zero v.
+double normaliser(const double* v, int n) {
+  double mx = 1e-12;
+  for (int r = 0; r < n; ++r) mx = std::max(mx, v[r]);
+  return mx;
+}
+
+/// Most-constrained-first greedy shared by the seed incumbent and the
+/// fallback rung: jobs in stable order of descending estimated runtime,
+/// each taking the first strict minimum of `key(j, r)` among the regions
+/// with quota left that `admissible(j, r)` accepts.  Returns one region per
+/// job, -1 where none was left; placements never exceed `quota_left`.
+template <class Key, class Admissible>
+std::vector<int> greedy_assign(const std::vector<const dc::PendingJob*>& jobs,
+                               std::vector<int> quota_left, const Key& key,
+                               const Admissible& admissible) {
+  const int n = static_cast<int>(quota_left.size());
+  std::vector<int> order(jobs.size());
+  for (std::size_t j = 0; j < order.size(); ++j) order[j] = static_cast<int>(j);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return jobs[static_cast<std::size_t>(a)]->est_exec_s >
+           jobs[static_cast<std::size_t>(b)]->est_exec_s;
+  });
+  std::vector<int> assign(jobs.size(), -1);
+  for (const int j : order) {
+    int chosen = -1;
+    decltype(key(0, 0)) best{};
+    for (int r = 0; r < n; ++r) {
+      if (quota_left[static_cast<std::size_t>(r)] <= 0 || !admissible(j, r))
+        continue;
+      const auto k = key(j, r);
+      if (chosen < 0 || k < best) {
+        chosen = r;
+        best = k;
+      }
+    }
+    if (chosen < 0) continue;
+    --quota_left[static_cast<std::size_t>(chosen)];
+    assign[static_cast<std::size_t>(j)] = chosen;
+  }
+  return assign;
+}
+
+}  // namespace
+
+WaterWiseScheduler::ChunkPricing WaterWiseScheduler::price_chunk(
+    const ChunkPlan& plan, const dc::ScheduleContext& ctx) const {
+  const int m = static_cast<int>(plan.jobs.size());
+  const int n = static_cast<int>(plan.quota.size());
+  ChunkPricing price;
+  price.n = n;
+  price.jobs.resize(static_cast<std::size_t>(m));
+  price.pairs.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
+  price.region_cost.resize(static_cast<std::size_t>(n));
+  // One job's raw Eq. 8 terms per region (CO2, H2O, USD, perf), reused.
+  std::vector<double> raw(4 * static_cast<std::size_t>(n));
+  double* const co2 = raw.data();
+  double* const h2o = co2 + n;
+  double* const usd = h2o + n;
+  double* const perf = usd + n;
+
+  for (int j = 0; j < m; ++j) {
+    const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
+    // The remaining allowance discounts time already spent waiting in the
+    // controller.
+    const double waited = ctx.now - p.first_seen;
+    const double allowance = std::max(
+        0.0, ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
+    price.jobs[static_cast<std::size_t>(j)] = {
+        allowance, config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s)};
+    for (int r = 0; r < n; ++r) {
+      // Decision-time estimates: current intensities, estimated E and t.
+      const footprint::Breakdown fb = ctx.footprint->job_at(
+          r, ctx.now, p.est_energy_kwh, p.est_exec_s);
+      const footprint::Breakdown tb = ctx.footprint->transfer(
+          p.job->home_region, r, p.job->package_bytes, ctx.now);
+      const double latency = ctx.env->transfer_latency_seconds(
+          p.job->home_region, r, p.job->package_bytes);
+      co2[r] = fb.carbon_g() + tb.carbon_g();
+      h2o[r] = fb.water_l() + tb.water_l();
+      if (config_.lambda_cost > 0.0)
+        usd[r] = ctx.env->pue(r) * p.est_energy_kwh *
+                 ctx.env->electricity_price(r, ctx.now);
+      perf[r] = latency / std::max(1.0, p.est_exec_s);
+      ChunkPricing::Pair& pair =
+          price.pairs[static_cast<std::size_t>(j * n + r)];
+      pair.latency = latency;
+      pair.exceedance = latency - allowance;
+    }
+    const double co2_max = normaliser(co2, n);
+    const double h2o_max = normaliser(h2o, n);
+    for (int r = 0; r < n; ++r) {
+      double cost = config_.lambda_co2 * co2[r] / co2_max +
+                    config_.lambda_h2o * h2o[r] / h2o_max;
+      if (config_.lambda_cost > 0.0)
+        cost += config_.lambda_cost * usd[r] / normaliser(usd, n);
+      if (config_.lambda_perf > 0.0)
+        cost += config_.lambda_perf * perf[r] / normaliser(perf, n);
+      if (config_.enable_history) {
+        cost += config_.lambda_ref *
+                (config_.lambda_co2 * history_->carbon_ref(r) +
+                 config_.lambda_h2o * history_->water_ref(r));
+      }
+      // Deterministic symmetry-breaking epsilon: jobs of the same benchmark
+      // share identical estimates, which otherwise makes the branch-and-
+      // bound tree explore exponentially many equivalent assignments.
+      cost += 1e-9 * static_cast<double>(j * n + r);
+      price.pairs[static_cast<std::size_t>(j * n + r)].cost = cost;
+    }
+  }
+
+  double* const ci = raw.data();
+  double* const wi = ci + n;
+  for (int r = 0; r < n; ++r) {
+    ci[r] = ctx.env->carbon_intensity(r, ctx.now);
+    wi[r] = ctx.env->water_intensity(r, ctx.now);
+  }
+  const double ci_max = normaliser(ci, n);
+  const double wi_max = normaliser(wi, n);
+  for (int r = 0; r < n; ++r)
+    price.region_cost[static_cast<std::size_t>(r)] =
+        config_.lambda_co2 * ci[r] / ci_max +
+        config_.lambda_h2o * wi[r] / wi_max;
+  return price;
+}
+
+milp::Solution WaterWiseScheduler::run_model(const ChunkPlan& plan,
+                                             const ChunkPricing& price,
+                                             bool soft, long budget_scale,
+                                             obs::Shard& shard) const {
+  const int m = static_cast<int>(plan.jobs.size());
+  const int n = price.n;
+  const std::vector<int>& quota = plan.quota;
   milp::Model model;
   // Unnamed variables/constraints (names are synthesized on demand for
   // debugging) and pre-sized vectors: a 400-job x 10-region chunk would
@@ -156,81 +310,34 @@ milp::Solution WaterWiseScheduler::run_model(
   else
     model.reserve(m * n, m + n);
 
-  // x_mn assignment binaries, laid out row-major (job-major).
-  std::vector<int> x(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-  for (int j = 0; j < m; ++j)
-    for (int r = 0; r < n; ++r)
-      x[static_cast<std::size_t>(j * n + r)] = model.add_binary();
-  *out_num_assign_vars = m * n;
+  // x_mn assignment binaries, laid out row-major (job-major): x_mn is
+  // variable j*n+r, priced by the Eq. 8 objective (normalized footprint
+  // costs + history reference terms).
+  for (const ChunkPricing::Pair& pair : price.pairs)
+    (void)model.add_binary(pair.cost);
 
   // A region with no quota cannot take any job from this chunk.  The
   // capacity row (sum x <= 0) already implies it, but stating the fixings
   // as explicit bounds lets presolve substitute the columns out (and drop
   // the then-empty capacity row) before the simplex ever sees them.
-  for (int r = 0; r < n; ++r) {
-    if (quota[static_cast<std::size_t>(r)] > 0) continue;
-    for (int j = 0; j < m; ++j)
-      model.set_variable_bounds(x[static_cast<std::size_t>(j * n + r)], 0.0,
-                                0.0);
-  }
-
-  // Objective: Eq. 8 normalized footprint costs + history reference terms.
-  for (int j = 0; j < m; ++j) {
-    const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
-    std::vector<double> co2(static_cast<std::size_t>(n));
-    std::vector<double> h2o(static_cast<std::size_t>(n));
-    std::vector<double> usd(static_cast<std::size_t>(n));
-    std::vector<double> perf(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      // Decision-time estimates: current intensities, estimated E and t.
-      const footprint::Breakdown fb = ctx.footprint->job_at(
-          r, ctx.now, p.est_energy_kwh, p.est_exec_s);
-      const footprint::Breakdown tb = ctx.footprint->transfer(
-          p.job->home_region, r, p.job->package_bytes, ctx.now);
-      co2[static_cast<std::size_t>(r)] = fb.carbon_g() + tb.carbon_g();
-      h2o[static_cast<std::size_t>(r)] = fb.water_l() + tb.water_l();
-      usd[static_cast<std::size_t>(r)] = ctx.env->pue(r) * p.est_energy_kwh *
-                                         ctx.env->electricity_price(r, ctx.now);
-      perf[static_cast<std::size_t>(r)] =
-          ctx.env->transfer_latency_seconds(p.job->home_region, r,
-                                            p.job->package_bytes) /
-          std::max(1.0, p.est_exec_s);
-    }
-    const double co2_max =
-        std::max(1e-12, *std::max_element(co2.begin(), co2.end()));
-    const double h2o_max =
-        std::max(1e-12, *std::max_element(h2o.begin(), h2o.end()));
-    const double usd_max =
-        std::max(1e-12, *std::max_element(usd.begin(), usd.end()));
-    const double perf_max =
-        std::max(1e-12, *std::max_element(perf.begin(), perf.end()));
-    for (int r = 0; r < n; ++r) {
-      double cost = config_.lambda_co2 * co2[static_cast<std::size_t>(r)] / co2_max +
-                    config_.lambda_h2o * h2o[static_cast<std::size_t>(r)] / h2o_max;
-      if (config_.lambda_cost > 0.0)
-        cost += config_.lambda_cost * usd[static_cast<std::size_t>(r)] / usd_max;
-      if (config_.lambda_perf > 0.0)
-        cost += config_.lambda_perf * perf[static_cast<std::size_t>(r)] / perf_max;
-      if (config_.enable_history) {
-        cost += config_.lambda_ref *
-                (config_.lambda_co2 * history_->carbon_ref(r) +
-                 config_.lambda_h2o * history_->water_ref(r));
-      }
-      // Deterministic symmetry-breaking epsilon: jobs of the same benchmark
-      // share identical estimates, which otherwise makes the branch-and-
-      // bound tree explore exponentially many equivalent assignments.
-      cost += 1e-9 * static_cast<double>(j * n + r);
-      model.set_objective_coefficient(x[static_cast<std::size_t>(j * n + r)],
-                                      cost);
-    }
-  }
+  //
+  // Hard Eq. 11: since exactly one x_mn is 1, the summed-latency row is
+  // equivalent to forbidding every region whose transfer latency exceeds
+  // the allowance.  Expressing it as bound fixing (x_mn = 0) keeps the
+  // LP relaxation a pure transportation polytope — integral vertices,
+  // instant infeasibility detection — where an explicit row would admit
+  // fractional "free allowance" points and force branching.
+  for (int j = 0; j < m; ++j)
+    for (int r = 0; r < n; ++r)
+      if (quota[static_cast<std::size_t>(r)] <= 0 ||
+          (!soft && price.at(j, r).late()))
+        model.set_variable_bounds(j * n + r, 0.0, 0.0);
 
   // Eq. 9: each job placed exactly once.
   for (int j = 0; j < m; ++j) {
     std::vector<milp::Term> terms;
     terms.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r)
-      terms.push_back({x[static_cast<std::size_t>(j * n + r)], 1.0});
+    for (int r = 0; r < n; ++r) terms.push_back({j * n + r, 1.0});
     (void)model.add_constraint(std::move(terms), milp::Sense::Equal, 1.0);
   }
 
@@ -239,70 +346,36 @@ milp::Solution WaterWiseScheduler::run_model(
   for (int r = 0; r < n; ++r) {
     std::vector<milp::Term> terms;
     terms.reserve(static_cast<std::size_t>(m));
-    for (int j = 0; j < m; ++j)
-      terms.push_back({x[static_cast<std::size_t>(j * n + r)], 1.0});
+    for (int j = 0; j < m; ++j) terms.push_back({j * n + r, 1.0});
     (void)model.add_constraint(
         std::move(terms), milp::Sense::LessEqual,
         static_cast<double>(quota[static_cast<std::size_t>(r)]));
   }
 
-  // Eq. 11 (hard) / Eq. 12-13 (soft): delay tolerance.  The remaining
-  // allowance discounts time already spent waiting in the controller.
-  //
-  // The hard model states Eq. 11 verbatim: one row per job over the summed
-  // transfer latency.  The soft model uses the paper's per-(job, region)
-  // penalty variables P_mn; because exactly one x_mn is 1, the two forms
-  // agree at integral points, but the per-pair form keeps the LP relaxation
-  // near-integral (a per-job penalty would let fractional solutions absorb
-  // the allowance "for free", opening a large LP/MIP gap that forces
-  // branch-and-bound to enumerate job subsets).
-  // Per-(job, region) soft-penalty bookkeeping, reused by the greedy seed:
-  // the penalty variable and the exceedance its placement would incur.
-  std::vector<int> soft_pvar(
-      static_cast<std::size_t>(m) * static_cast<std::size_t>(n), -1);
-  std::vector<double> soft_exceed(
-      static_cast<std::size_t>(m) * static_cast<std::size_t>(n), 0.0);
-  for (int j = 0; j < m; ++j) {
-    const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
-    const double waited = ctx.now - p.first_seen;
-    const double allowance = std::max(
-        0.0,
-        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
-    const double penalty_rate =
-        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
-    if (soft) {
-      // P_mn >= (L_mn - allowance_m) * x_mn: the exceedance this placement
-      // would cause, proportional to x so the relaxation has no penalty-free
-      // fractional region and LP vertices stay integral.
+  // Eq. 12-13 (soft): the paper's per-(job, region) penalty variables
+  // P_mn >= (L_mn - allowance_m) * x_mn: the exceedance this placement
+  // would cause, proportional to x so the relaxation has no penalty-free
+  // fractional region and LP vertices stay integral.  Because exactly one
+  // x_mn is 1, this agrees with Eq. 11's per-job summed row at integral
+  // points, but the per-pair form keeps the LP relaxation near-integral (a
+  // per-job penalty would let fractional solutions absorb the allowance
+  // "for free", opening a large LP/MIP gap that forces branch-and-bound to
+  // enumerate job subsets).  `pvar` maps each pair to its P_mn for the seed.
+  std::vector<int> pvar;
+  if (soft) {
+    pvar.assign(price.pairs.size(), -1);
+    for (int j = 0; j < m; ++j) {
       for (int r = 0; r < n; ++r) {
-        if (quota[static_cast<std::size_t>(r)] <= 0)
-          continue;  // x_mn fixed to 0 above; no penalty row needed
-        const double latency = ctx.env->transfer_latency_seconds(
-            p.job->home_region, r, p.job->package_bytes);
-        const double exceedance = latency - allowance;
-        if (exceedance <= 0.0) continue;  // placement cannot violate
-        const int pmn =
-            model.add_continuous(0.0, milp::kInfinity, penalty_rate);
-        (void)model.add_constraint(
-            {{x[static_cast<std::size_t>(j * n + r)], exceedance}, {pmn, -1.0}},
-            milp::Sense::LessEqual, 0.0);
-        soft_pvar[static_cast<std::size_t>(j * n + r)] = pmn;
-        soft_exceed[static_cast<std::size_t>(j * n + r)] = exceedance;
+        const ChunkPricing::Pair& pair = price.at(j, r);
+        // No quota: x_mn fixed to 0 above.  Not late: cannot violate.
+        if (quota[static_cast<std::size_t>(r)] <= 0 || !pair.late()) continue;
+        const int pmn = model.add_continuous(
+            0.0, milp::kInfinity,
+            price.jobs[static_cast<std::size_t>(j)].penalty_rate);
+        (void)model.add_constraint({{j * n + r, pair.exceedance}, {pmn, -1.0}},
+                                   milp::Sense::LessEqual, 0.0);
+        pvar[static_cast<std::size_t>(j * n + r)] = pmn;
       }
-      continue;
-    }
-    // Hard Eq. 11: since exactly one x_mn is 1, the summed-latency row is
-    // equivalent to forbidding every region whose transfer latency exceeds
-    // the allowance.  Expressing it as bound fixing (x_mn = 0) keeps the
-    // LP relaxation a pure transportation polytope — integral vertices,
-    // instant infeasibility detection — where an explicit row would admit
-    // fractional "free allowance" points and force branching.
-    for (int r = 0; r < n; ++r) {
-      const double latency = ctx.env->transfer_latency_seconds(
-          p.job->home_region, r, p.job->package_bytes);
-      if (latency > allowance)
-        model.set_variable_bounds(x[static_cast<std::size_t>(j * n + r)], 0.0,
-                                  0.0);
     }
   }
 
@@ -336,11 +409,11 @@ milp::Solution WaterWiseScheduler::run_model(
     options.max_nodes = std::min<long>(options.max_nodes, 200);
   }
 
-  // Greedy seed incumbent: jobs most-constrained-first (longest estimated
-  // runtime, then chunk order), each placed at the cheapest admissible
-  // region with remaining quota.  The resulting feasible point enters
-  // branch-and-bound as the initial upper bound, so best-first search
-  // prunes from node 0 instead of waiting for its first dive to bottom out.
+  // Greedy seed incumbent: each job at its cheapest admissible region with
+  // remaining quota, its x coefficient plus the penalty its exceedance
+  // would pay.  The resulting feasible point enters branch-and-bound as the
+  // initial upper bound, so best-first search prunes from node 0 instead of
+  // waiting for its first dive to bottom out.
   //
   // The budget-capped *hard* model is a feasibility probe (Algorithm 1,
   // lines 10-11): an inconclusive probe must stay unusable so the chunk
@@ -350,50 +423,30 @@ milp::Solution WaterWiseScheduler::run_model(
   // actually branches — and to the soft-disabled ablation.
   std::optional<milp::Solution> seed;
   if (soft || !config_.enable_soft_constraints) {
-    std::vector<int> order(static_cast<std::size_t>(m));
-    for (int j = 0; j < m; ++j) order[static_cast<std::size_t>(j)] = j;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return chunk[static_cast<std::size_t>(a)]->est_exec_s >
-             chunk[static_cast<std::size_t>(b)]->est_exec_s;
-    });
-    std::vector<int> quota_left(quota);
-    std::vector<double> vals(static_cast<std::size_t>(model.num_variables()),
-                             0.0);
-    bool ok = true;
-    for (const int j : order) {
-      int chosen = -1;
-      double chosen_cost = 0.0;
-      for (int r = 0; r < n; ++r) {
-        if (quota_left[static_cast<std::size_t>(r)] <= 0) continue;
-        const auto xi = static_cast<std::size_t>(x[static_cast<std::size_t>(
-            j * n + r)]);
-        const milp::Variable& v = model.variable(static_cast<int>(xi));
-        if (v.upper < 0.5) continue;  // hard-model delay forbids this region
-        double c = v.objective;
-        if (soft && soft_pvar[static_cast<std::size_t>(j * n + r)] >= 0)
-          c += model
-                   .variable(soft_pvar[static_cast<std::size_t>(j * n + r)])
-                   .objective *
-               soft_exceed[static_cast<std::size_t>(j * n + r)];
-        if (chosen < 0 || c < chosen_cost) {
-          chosen = r;
-          chosen_cost = c;
-        }
+    const std::vector<int> assign = greedy_assign(
+        plan.jobs, quota,
+        [&](int j, int r) {
+          const ChunkPricing::Pair& pair = price.at(j, r);
+          double c = pair.cost;
+          if (soft && pair.late())
+            c += price.jobs[static_cast<std::size_t>(j)].penalty_rate *
+                 pair.exceedance;
+          return c;
+        },
+        [&](int j, int r) { return soft || !price.at(j, r).late(); });
+    // A job with no admissible region left means no seed: the solver
+    // decides alone.
+    if (std::find(assign.begin(), assign.end(), -1) == assign.end()) {
+      std::vector<double> vals(static_cast<std::size_t>(model.num_variables()),
+                               0.0);
+      for (int j = 0; j < m; ++j) {
+        const int r = assign[static_cast<std::size_t>(j)];
+        vals[static_cast<std::size_t>(j * n + r)] = 1.0;
+        if (soft && price.at(j, r).late())
+          vals[static_cast<std::size_t>(
+              pvar[static_cast<std::size_t>(j * n + r)])] =
+              price.at(j, r).exceedance;
       }
-      if (chosen < 0) {
-        ok = false;  // no admissible region left; let the solver decide
-        break;
-      }
-      --quota_left[static_cast<std::size_t>(chosen)];
-      const auto xi =
-          static_cast<std::size_t>(x[static_cast<std::size_t>(j * n + chosen)]);
-      vals[xi] = 1.0;
-      if (soft && soft_pvar[static_cast<std::size_t>(j * n + chosen)] >= 0)
-        vals[static_cast<std::size_t>(
-            soft_pvar[static_cast<std::size_t>(j * n + chosen)])] =
-            soft_exceed[static_cast<std::size_t>(j * n + chosen)];
-    }
-    if (ok) {
       seed = milp::Solution::incumbent_from_heuristic(model, std::move(vals));
       shard.add(handles_.seeded_incumbents);
     }
@@ -515,7 +568,6 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   out.index = plan.index;
   out.leftover = plan.quota;
   out.shard = registry_.make_shard();
-  int num_x = 0;
 
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);
@@ -550,6 +602,25 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     return true;
   };
 
+  // Every rung below reads this one table; nothing re-prices a pair.
+  const ChunkPricing price = price_chunk(plan, ctx);
+
+  // Places job j in region r (r < 0: none) against the leftover quota, or
+  // leaves it spill-eligible.  The start time is the transfer latency away.
+  const auto place = [&](int j, int r) {
+    const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
+    if (r < 0 || out.leftover[static_cast<std::size_t>(r)] <= 0) {
+      out.unplaced.push_back(&p);
+      return false;
+    }
+    --out.leftover[static_cast<std::size_t>(r)];
+    out.decisions.push_back(
+        dc::Decision{p.job->id, r, ctx.now + price.at(j, r).latency, 1.0});
+    // Sim-time wait from first sighting to admission: deterministic.
+    out.shard.observe(handles_.time_to_admission_s, ctx.now - p.first_seen);
+    return true;
+  };
+
   // --- Retry-then-degrade ladder ------------------------------------------
   // Rung 0: hard feasibility probe (soft-enabled path only).
   // Rung 1: primary model (soft, or hard in the soft-disabled ablation).
@@ -561,19 +632,19 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   milp::Solution sol;
   bool proven_infeasible = false;
   if (config_.enable_soft_constraints) {
-    sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.shard);
+    sol = run_model(plan, price, /*soft=*/false, /*budget_scale=*/1,
+                    out.shard);
     if (injected(0)) sol = milp::Solution{};
     if (!sol.usable()) {
       // Algorithm 1, lines 10-11: soften and retry.
       out.shard.add(handles_.soft_fallbacks);
-      sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/true,
-                      /*budget_scale=*/1, &num_x, out.shard);
+      sol = run_model(plan, price, /*soft=*/true, /*budget_scale=*/1,
+                      out.shard);
       if (injected(1)) sol = milp::Solution{};
     }
   } else {
-    sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.shard);
+    sol = run_model(plan, price, /*soft=*/false, /*budget_scale=*/1,
+                    out.shard);
     proven_infeasible = sol.status == milp::Status::Infeasible;
     // An injected failure loses the outcome *and* the infeasibility proof.
     if (injected(1)) {
@@ -584,45 +655,43 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
 
   if (!sol.usable() && !proven_infeasible) {
     out.shard.add(handles_.solve_retries);
-    sol = run_model(plan.jobs, plan.quota, ctx,
-                    /*soft=*/config_.enable_soft_constraints,
-                    config_.retry_budget_multiplier, &num_x, out.shard);
+    sol = run_model(plan, price, /*soft=*/config_.enable_soft_constraints,
+                    config_.retry_budget_multiplier, out.shard);
     if (injected(2)) sol = milp::Solution{};
     if (sol.usable()) rung = 2;
   }
 
   if (!sol.usable()) {
-    // Rung 3: place what the quota admits via the deterministic greedy;
-    // delay violations are allowed exactly when the soft model would have
-    // traded them (the soft-disabled ablation keeps Eq. 11 hard, so there
-    // the greedy defers instead — the backlog is that ablation's
-    // measurement).  The remainder spills, then defers explicitly.
-    const std::vector<int> assign = sched::greedy_fallback_assign(
-        plan.jobs, out.leftover, ctx, config_.lambda_co2, config_.lambda_h2o,
-        config_.delay_estimate_margin,
-        /*allow_delay_violations=*/config_.enable_soft_constraints);
-    for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
-      const dc::PendingJob* p = plan.jobs[j];
-      const int r = assign[j];
-      if (r < 0) {
-        out.unplaced.push_back(p);
-        continue;
-      }
-      --out.leftover[static_cast<std::size_t>(r)];
-      out.shard.add(handles_.fallback_placements);
-      const double start =
-          ctx.now + ctx.env->transfer_latency_seconds(p->job->home_region, r,
-                                                      p->job->package_bytes);
-      out.decisions.push_back(dc::Decision{p->job->id, r, start, 1.0});
-      // Sim-time wait from first sighting to admission: deterministic.
-      out.shard.observe(handles_.time_to_admission_s, ctx.now - p->first_seen);
-    }
+    // Rung 3: place what the quota admits via the deterministic greedy,
+    // cheapest region cost first among the delay-admissible regions.
+    // Delay violations are allowed exactly when the soft model would have
+    // traded them: a job with no admissible region then takes the least
+    // exceedance, then the cheapest, mirroring the soft model's penalty
+    // trade.  The soft-disabled ablation keeps Eq. 11 hard, so there the
+    // greedy defers instead — the backlog is that ablation's measurement.
+    // The remainder spills, then defers explicitly.
+    const bool allow_late = config_.enable_soft_constraints;
+    const std::vector<int> assign = greedy_assign(
+        plan.jobs, out.leftover,
+        [&](int j, int r) {
+          const ChunkPricing::Pair& pair = price.at(j, r);
+          const bool late = pair.late();
+          const double cost = price.region_cost[static_cast<std::size_t>(r)];
+          return std::make_tuple(late, late ? pair.exceedance : 0.0, cost);
+        },
+        [&](int j, int r) { return allow_late || !price.at(j, r).late(); });
+    for (int j = 0; j < static_cast<int>(plan.jobs.size()); ++j)
+      if (place(j, assign[static_cast<std::size_t>(j)]))
+        out.shard.add(handles_.fallback_placements);
     annotate(3);
     return out;
   }
 
   for (int j = 0; j < static_cast<int>(plan.jobs.size()); ++j) {
-    const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
+    // Eq. 9 places every job and Eq. 10 caps placements at the quota, so
+    // both of place()'s guards are defensive here (a budget-limited
+    // incumbent is still feasible); an unplaced job is spill-eligible
+    // rather than dropped.
     int chosen = -1;
     for (int r = 0; r < n; ++r) {
       if (sol.values[static_cast<std::size_t>(j * n + r)] > 0.5) {
@@ -630,19 +699,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
         break;
       }
     }
-    // Eq. 9 places every job and Eq. 10 caps placements at the quota, so
-    // both guards are defensive (a budget-limited incumbent is still
-    // feasible); an unplaced job is spill-eligible rather than dropped.
-    if (chosen < 0 || out.leftover[static_cast<std::size_t>(chosen)] <= 0) {
-      out.unplaced.push_back(&p);
-      continue;
-    }
-    --out.leftover[static_cast<std::size_t>(chosen)];
-    const double start = ctx.now + ctx.env->transfer_latency_seconds(
-                                       p.job->home_region, chosen,
-                                       p.job->package_bytes);
-    out.decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
-    out.shard.observe(handles_.time_to_admission_s, ctx.now - p.first_seen);
+    (void)place(j, chosen);
   }
   annotate(rung);
   return out;
@@ -752,11 +809,9 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule(
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   const int n = ctx.capacity->num_regions();
-  if (!history_ || history_->observations() == 0) {
-    // Lazily size the learner to the environment.
-    if (!history_)
-      history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
-  }
+  // Lazily size the learner to the environment.
+  if (!history_)
+    history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
   // Feed the history learner the current intensity landscape.
   {

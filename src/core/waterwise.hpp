@@ -59,14 +59,18 @@
 //
 // Chunk solves run a bounded retry-then-degrade ladder instead of a single
 // hard->soft fallback: hard probe -> (soft model) -> one retry with relaxed
-// node/iteration budgets -> guaranteed-feasible greedy placement
-// (sched::greedy_fallback_assign) -> explicit deferral.  Every rung is
-// deterministic — budgets are node/iteration counts, never wall-clock — and
-// every job ends placed or counted in the `sched.deferred_jobs` registry
-// counter; nothing is silently dropped.  A per-region Normal -> Degraded ->
-// Recovery state machine (DegradedModeConfig) watches capacity losses and
-// observed intensity jumps and clamps how much of a faulty region's capacity
-// new placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
+// node/iteration budgets -> guaranteed-feasible greedy placement inside the
+// chunk quota -> explicit deferral.  Every rung reads one per-chunk pricing
+// table (`ChunkPricing`: delay allowance and penalty rate per job; transfer
+// latency, Eq. 8 coefficient and exceedance per (job, region) pair; the
+// fallback's intensity cost per region), built once before the first rung,
+// so no rung re-prices a pair.  Every rung is deterministic — budgets are
+// node/iteration counts, never wall-clock — and every job ends placed or
+// counted in the `sched.deferred_jobs` registry counter; nothing is
+// silently dropped.  A per-region Normal -> Degraded -> Recovery state
+// machine (DegradedModeConfig) watches capacity losses and observed
+// intensity jumps and clamps how much of a faulty region's capacity new
+// placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
 // failures (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
@@ -255,14 +259,23 @@ class WaterWiseScheduler final : public dc::Scheduler {
       std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx);
 
  private:
-  /// Builds and solves Eq. 8-13 for the chunk against `quota`; `soft`
-  /// enables penalties; `budget_scale` multiplies the node/iteration budgets
+  /// One chunk's prices (defined in waterwise.cpp): a pure function of the
+  /// plan, the context, the config and the history learner, read by every
+  /// rung of the ladder and by both greedies.
+  struct ChunkPricing;
+  [[nodiscard]] ChunkPricing price_chunk(const ChunkPlan& plan,
+                                         const dc::ScheduleContext& ctx) const;
+
+  /// Builds and solves Eq. 8-13 for `plan` from its pricing table: the hard
+  /// model (`soft` false) fixes x_mn = 0 for every pair whose latency
+  /// exceeds the job's allowance, the soft model adds one penalty row per
+  /// such pair.  `budget_scale` multiplies the node/iteration budgets
   /// (saturating) for the ladder's retry rung.  Solver counters accumulate
   /// into `shard`.
-  [[nodiscard]] milp::Solution run_model(
-      const std::vector<const dc::PendingJob*>& chunk,
-      const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-      long budget_scale, int* out_num_assign_vars, obs::Shard& shard) const;
+  [[nodiscard]] milp::Solution run_model(const ChunkPlan& plan,
+                                         const ChunkPricing& price, bool soft,
+                                         long budget_scale,
+                                         obs::Shard& shard) const;
 
   /// Counts one milp::solve outcome into a chunk shard.
   void add_solve(const milp::Solution& sol, obs::Shard& shard) const;

@@ -52,9 +52,10 @@ inline Model waterwise_shaped_model(int jobs, int regions,
 }
 
 /// The scheduler's *hard* chunk model as WaterWiseScheduler::run_model
-/// actually emits it: assignment + capacity rows only, with the Eq. 11
-/// delay constraint expressed as explicit x_mn = 0 bound fixings
-/// (`fixed_fraction` of the remote pairs).  This is the shape presolve
+/// actually emits it from a chunk's pricing table: assignment + capacity
+/// rows only, with the Eq. 11 delay constraint expressed as explicit
+/// x_mn = 0 bound fixings of the late pairs (`fixed_fraction` of the remote
+/// pairs).  This is the shape presolve
 /// feeds on — fixed columns substitute out and capacity rows go redundant.
 /// The home region (r = 0) is never fixed, so the model stays feasible.
 inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,
@@ -91,7 +92,8 @@ inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,
 
 /// The scheduler's *soft* chunk model (Eq. 12-13) at selectable scale: one
 /// penalty variable and one exceedance row per (job, remote region) pair
-/// whose latency overruns the allowance, exactly as run_model emits it.
+/// whose latency overruns the allowance, exactly as run_model emits it for
+/// the late pairs of a chunk's pricing table.
 /// At 400 jobs x 10 regions this is a several-thousand-row program — the
 /// soft-model pathology at paper scale.
 inline Model soft_chunk_model(int jobs, int regions, std::uint64_t seed = 13) {

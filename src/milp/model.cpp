@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace ww::milp {
 
@@ -56,27 +55,30 @@ void Model::set_variable_bounds(int var, double lower, double upper) {
 
 int Model::add_constraint(std::string name, std::vector<Term> terms,
                           Sense sense, double rhs) {
-  // Merge duplicate variables and drop exact zeros.  Per-key accumulation
-  // order follows the input term order, and `clean` below is re-sorted by
-  // variable index before it is stored, so the map's iteration order never
-  // reaches the constraint row.
-  // det-ok: output re-sorted by variable index below
-  std::unordered_map<int, double> merged;
-  for (const Term& t : terms) {
+  for (const Term& t : terms)
     if (t.var < 0 || t.var >= num_variables())
       throw std::out_of_range(
           "Model: constraint '" +
           (name.empty() ? "c" + std::to_string(constraints_.size()) : name) +
           "' references unknown variable");
-    merged[t.var] += t.coeff;
+  // Merge duplicate variables and drop exact zeros.  A stable sort keeps
+  // each variable's terms in input order, so the fold below sums them in
+  // that order.  Rows built in variable order skip the sort altogether.
+  const auto by_var = [](const Term& a, const Term& b) {
+    return a.var < b.var;
+  };
+  if (!std::is_sorted(terms.begin(), terms.end(), by_var))
+    std::stable_sort(terms.begin(), terms.end(), by_var);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < terms.size();) {
+    Term merged = terms[i];
+    for (++i; i < terms.size() && terms[i].var == merged.var; ++i)
+      merged.coeff += terms[i].coeff;
+    if (merged.coeff != 0.0) terms[kept++] = merged;
   }
-  std::vector<Term> clean;
-  clean.reserve(merged.size());
-  for (const auto& [var, coeff] : merged)
-    if (coeff != 0.0) clean.push_back(Term{var, coeff});
-  std::sort(clean.begin(), clean.end(),
-            [](const Term& a, const Term& b) { return a.var < b.var; });
-  constraints_.push_back(Constraint{std::move(name), std::move(clean), sense, rhs});
+  terms.resize(kept);
+  constraints_.push_back(
+      Constraint{std::move(name), std::move(terms), sense, rhs});
   return static_cast<int>(constraints_.size()) - 1;
 }
 

@@ -72,7 +72,8 @@ class Model {
   void set_variable_bounds(int var, double lower, double upper);
 
   /// Returns the new constraint's index.  Duplicate variables within `terms`
-  /// are merged.
+  /// are merged (summed in input order), exact zeros are dropped, and the
+  /// row is stored sorted by variable.
   int add_constraint(std::string name, std::vector<Term> terms, Sense sense,
                      double rhs);
   int add_constraint(std::vector<Term> terms, Sense sense, double rhs) {

@@ -132,6 +132,121 @@ TEST(RetryLadder, AllAttemptsInjectedStillPlacesEveryJobViaFallback) {
   EXPECT_EQ(counter(reg, "deferred_jobs"), 0);
 }
 
+/// The fallback rung's placement rule, stated independently of the
+/// scheduler: jobs longest-estimate first (ties in batch order), each at the
+/// cheapest delay-admissible region with quota left by normalised
+/// lambda-weighted carbon/water intensity; failing that (violations
+/// allowed) the least exceedance, then the cheapest; ties to the lowest
+/// index.  Returns the region per batch index, -1 = deferred.
+std::vector<int> reference_fallback(const DirectRig& rig,
+                                    const WaterWiseConfig& cfg,
+                                    std::vector<int> quota, double now,
+                                    double tol, bool allow_late) {
+  const int n = static_cast<int>(quota.size());
+  std::vector<double> ci(static_cast<std::size_t>(n));
+  std::vector<double> wi(static_cast<std::size_t>(n));
+  double ci_max = 1e-12;
+  double wi_max = 1e-12;
+  for (int r = 0; r < n; ++r) {
+    ci[static_cast<std::size_t>(r)] = rig.env.carbon_intensity(r, now);
+    wi[static_cast<std::size_t>(r)] = rig.env.water_intensity(r, now);
+    ci_max = std::max(ci_max, ci[static_cast<std::size_t>(r)]);
+    wi_max = std::max(wi_max, wi[static_cast<std::size_t>(r)]);
+  }
+  const auto cost = [&](int r) {
+    return cfg.lambda_co2 * ci[static_cast<std::size_t>(r)] / ci_max +
+           cfg.lambda_h2o * wi[static_cast<std::size_t>(r)] / wi_max;
+  };
+
+  std::vector<std::size_t> order(rig.batch.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rig.batch[a].est_exec_s > rig.batch[b].est_exec_s;
+                   });
+  std::vector<int> region(rig.batch.size(), -1);
+  for (const std::size_t i : order) {
+    const dc::PendingJob& p = rig.batch[i];
+    const double allowance =
+        std::max(0.0, tol * cfg.delay_estimate_margin * p.est_exec_s -
+                          (now - p.first_seen));
+    const auto exceed = [&](int r) {
+      return rig.env.transfer_latency_seconds(p.job->home_region, r,
+                                              p.job->package_bytes) -
+             allowance;
+    };
+    int best = -1;
+    for (int r = 0; r < n; ++r)
+      if (quota[static_cast<std::size_t>(r)] > 0 && exceed(r) <= 0.0 &&
+          (best < 0 || cost(r) < cost(best)))
+        best = r;
+    if (best < 0 && allow_late)
+      for (int r = 0; r < n; ++r)
+        if (quota[static_cast<std::size_t>(r)] > 0 &&
+            (best < 0 || exceed(r) < exceed(best) ||
+             (exceed(r) == exceed(best) && cost(r) < cost(best))))
+          best = r;
+    if (best < 0) continue;
+    --quota[static_cast<std::size_t>(best)];
+    region[i] = best;
+  }
+  return region;
+}
+
+TEST(RetryLadder, FallbackPicksCheapestAdmissibleThenLeastExceedance) {
+  // Every solve is failed by injection, so every placement comes from the
+  // fallback rung.  The home region has no capacity and the tolerance is
+  // tight, so some jobs have no delay-admissible region at all: with soft
+  // constraints on they take the least exceedance, with them off they
+  // defer.  Every decision must match the independent reference.
+  const DirectRig rig(12);
+  const std::vector<int> caps = {4, 3, 0, 4, 3};
+  const double now = 0.0;
+  const double tol = 0.3;
+  for (const bool soft : {true, false}) {
+    WaterWiseConfig cfg;
+    cfg.solve_failure_rate = 1.0;
+    cfg.fault_seed = 1003;
+    cfg.enable_soft_constraints = soft;
+    WaterWiseScheduler ww(cfg);
+    const std::vector<int> ref =
+        reference_fallback(rig, ww.config(), caps, now, tol, soft);
+    const auto placed = rig.run(ww, caps, now, tol);
+
+    // The scenario must exercise both halves of the rule.
+    const std::vector<int> strict =
+        reference_fallback(rig, ww.config(), caps, now, tol, false);
+    const long late = std::count(strict.begin(), strict.end(), -1);
+    ASSERT_GT(late, 0) << "no job lacks an admissible region";
+    ASSERT_LT(late, static_cast<long>(strict.size()))
+        << "no job has an admissible region";
+
+    long expected_placed = 0;
+    for (const int r : ref) expected_placed += r >= 0 ? 1 : 0;
+    ASSERT_EQ(static_cast<long>(placed.size()), expected_placed)
+        << "soft=" << soft;
+    for (const dc::Decision& d : placed) {
+      const auto i = static_cast<std::size_t>(d.job_id);
+      EXPECT_EQ(d.region, ref[i]) << "job " << d.job_id << " soft=" << soft;
+      const trace::Job& job = rig.jobs[i];
+      EXPECT_EQ(d.start_time,
+                now + rig.env.transfer_latency_seconds(
+                          job.home_region, d.region, job.package_bytes))
+          << "job " << d.job_id;
+    }
+    EXPECT_EQ(counter(ww.registry(), "fallback_placements"), expected_placed)
+        << "soft=" << soft;
+    EXPECT_EQ(counter(ww.registry(), "deferred_jobs"),
+              static_cast<long>(ref.size()) - expected_placed)
+        << "soft=" << soft;
+    if (soft) {
+      EXPECT_EQ(expected_placed, static_cast<long>(ref.size()));
+    } else {
+      EXPECT_EQ(expected_placed, static_cast<long>(ref.size()) - late);
+    }
+  }
+}
+
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
   const DirectRig rig(60);
   const std::vector<int> caps = {12, 12, 12, 12, 12};

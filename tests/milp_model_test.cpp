@@ -49,6 +49,16 @@ TEST(Model, ConstraintMergesDuplicateTerms) {
   ASSERT_EQ(row.terms.size(), 1u);  // y cancelled out, x merged
   EXPECT_EQ(row.terms[0].var, x);
   EXPECT_DOUBLE_EQ(row.terms[0].coeff, 3.0);
+
+  // Each variable's terms are summed in input order: 1e16 + 1 rounds back to
+  // 1e16, so x cancels to an exact zero and is dropped.  Summing x's terms
+  // in any other order (an unstable sort) would leave x with 1.
+  const int c2 = m.add_constraint(
+      "c2", {{x, 1e16}, {y, 2.0}, {x, 1.0}, {x, -1e16}}, Sense::LessEqual, 4.0);
+  const auto& row2 = m.constraint(c2);
+  ASSERT_EQ(row2.terms.size(), 1u);
+  EXPECT_EQ(row2.terms[0].var, y);
+  EXPECT_EQ(row2.terms[0].coeff, 2.0);
 }
 
 TEST(Model, ConstraintRejectsUnknownVariable) {
