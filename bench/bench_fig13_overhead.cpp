@@ -54,7 +54,8 @@ void report(const char* label, const ww::dc::CampaignResult& res,
             << " LU refactorizations, " << c("ft_updates")
             << " Forrest-Tomlin updates, " << c("seeded_incumbents")
             << " greedy-seeded solves\n";
-  std::cout << "  pipeline: " << c("chunks_planned") << " chunk plans, "
+  std::cout << "  pipeline: " << c("chunks_planned") << " chunk plans ("
+            << c("forced_chunks") << " placed by the pre-pass), "
             << c("spill_resolves") << " spill re-solves covering "
             << c("spill_jobs") << " job(s)\n";
   std::cout << "  degradation: " << c("fault_events") << " fault events, "

@@ -94,6 +94,8 @@ void WaterWiseScheduler::register_metrics() {
   handles_.solve_retries = r.counter("sched.solve_retries");
   handles_.fallback_placements = r.counter("sched.fallback_placements");
   handles_.deferred_jobs = r.counter("sched.deferred_jobs");
+  // Chunks the hard rung's pre-pass placed without building a model.
+  handles_.forced_chunks = r.counter("sched.forced_chunks");
   handles_.windows = r.counter("sched.windows");
   // Wall-clock sums inside milp::solve (presolve included in solve).
   handles_.presolve_seconds = r.gauge("sched.presolve_seconds");
@@ -146,12 +148,20 @@ struct WaterWiseScheduler::ChunkPricing {
   };
   struct Pair {
     double latency;     ///< Transfer latency from the job's home region.
-    double cost;        ///< Eq. 8 coefficient of x_mn, epsilon included.
     double exceedance;  ///< latency - allowance.
+    double cost;        ///< Eq. 8 coefficient of x_mn, epsilon included.
     /// The hard model's Eq. 11 rule: latency > allowance forbids the pair.
     [[nodiscard]] bool late() const noexcept { return exceedance > 0.0; }
   };
+  /// What the hard rung's pre-pass proved about the chunk.
+  enum class Forced {
+    Mixed,       ///< Some job has a choice: the hard model decides.
+    Placed,      ///< Every job has one admissible region, and they fit.
+    Infeasible,  ///< The hard model has no feasible point.
+  };
   int n = 0;
+  /// The cost stage has run: `Pair::cost` and `region_cost` are filled.
+  bool costed = false;
   std::vector<Job> jobs;
   std::vector<Pair> pairs;  ///< Job-major: pair (j, r) is x variable j*n+r.
   /// Region-level normalised carbon/water intensity: the greedy fallback's
@@ -161,6 +171,39 @@ struct WaterWiseScheduler::ChunkPricing {
 
   [[nodiscard]] const Pair& at(int j, int r) const {
     return pairs[static_cast<std::size_t>(j * n + r)];
+  }
+
+  /// The hard model's singleton-row presolve, run before any model exists
+  /// (Andersen & Andersen, "Presolving in linear programming", 1995): a
+  /// pair is admissible when its region has quota and it is not late.  A
+  /// job with no admissible pair, or more single-region jobs on a region
+  /// than its quota, makes the hard model infeasible.  When every job has
+  /// exactly one admissible pair and they fit, that assignment is the hard
+  /// model's only feasible point; `only` then holds it, one region per job.
+  [[nodiscard]] Forced forced(const std::vector<int>& quota,
+                              std::vector<int>& only) const {
+    const std::size_t m = jobs.size();
+    only.assign(m, -1);
+    std::vector<int> demand(quota.size(), 0);
+    bool all_forced = true;
+    for (std::size_t j = 0; j < m; ++j) {
+      int admissible = 0;
+      for (int r = 0; r < n; ++r) {
+        if (quota[static_cast<std::size_t>(r)] <= 0 ||
+            at(static_cast<int>(j), r).late())
+          continue;
+        ++admissible;
+        only[j] = r;
+      }
+      if (admissible == 0) return Forced::Infeasible;
+      if (admissible == 1)
+        ++demand[static_cast<std::size_t>(only[j])];
+      else
+        all_forced = false;
+    }
+    for (std::size_t r = 0; r < quota.size(); ++r)
+      if (demand[r] > quota[r]) return Forced::Infeasible;
+    return all_forced ? Forced::Placed : Forced::Mixed;
   }
 };
 
@@ -219,14 +262,6 @@ WaterWiseScheduler::ChunkPricing WaterWiseScheduler::price_chunk(
   price.n = n;
   price.jobs.resize(static_cast<std::size_t>(m));
   price.pairs.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-  price.region_cost.resize(static_cast<std::size_t>(n));
-  // One job's raw Eq. 8 terms per region (CO2, H2O, USD, perf), reused.
-  std::vector<double> raw(4 * static_cast<std::size_t>(n));
-  double* const co2 = raw.data();
-  double* const h2o = co2 + n;
-  double* const usd = h2o + n;
-  double* const perf = usd + n;
-
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
     // The remaining allowance discounts time already spent waiting in the
@@ -237,23 +272,43 @@ WaterWiseScheduler::ChunkPricing WaterWiseScheduler::price_chunk(
     price.jobs[static_cast<std::size_t>(j)] = {
         allowance, config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s)};
     for (int r = 0; r < n; ++r) {
+      ChunkPricing::Pair& pair =
+          price.pairs[static_cast<std::size_t>(j * n + r)];
+      pair.latency = ctx.env->transfer_latency_seconds(
+          p.job->home_region, r, p.job->package_bytes);
+      pair.exceedance = pair.latency - allowance;
+    }
+  }
+  return price;
+}
+
+void WaterWiseScheduler::cost_chunk(const ChunkPlan& plan,
+                                    const dc::ScheduleContext& ctx,
+                                    ChunkPricing& price) const {
+  const int m = static_cast<int>(plan.jobs.size());
+  const int n = price.n;
+  price.region_cost.resize(static_cast<std::size_t>(n));
+  // One job's raw Eq. 8 terms per region (CO2, H2O, USD, perf), reused.
+  std::vector<double> raw(4 * static_cast<std::size_t>(n));
+  double* const co2 = raw.data();
+  double* const h2o = co2 + n;
+  double* const usd = h2o + n;
+  double* const perf = usd + n;
+
+  for (int j = 0; j < m; ++j) {
+    const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
+    for (int r = 0; r < n; ++r) {
       // Decision-time estimates: current intensities, estimated E and t.
       const footprint::Breakdown fb = ctx.footprint->job_at(
           r, ctx.now, p.est_energy_kwh, p.est_exec_s);
       const footprint::Breakdown tb = ctx.footprint->transfer(
           p.job->home_region, r, p.job->package_bytes, ctx.now);
-      const double latency = ctx.env->transfer_latency_seconds(
-          p.job->home_region, r, p.job->package_bytes);
       co2[r] = fb.carbon_g() + tb.carbon_g();
       h2o[r] = fb.water_l() + tb.water_l();
       if (config_.lambda_cost > 0.0)
         usd[r] = ctx.env->pue(r) * p.est_energy_kwh *
                  ctx.env->electricity_price(r, ctx.now);
-      perf[r] = latency / std::max(1.0, p.est_exec_s);
-      ChunkPricing::Pair& pair =
-          price.pairs[static_cast<std::size_t>(j * n + r)];
-      pair.latency = latency;
-      pair.exceedance = latency - allowance;
+      perf[r] = price.at(j, r).latency / std::max(1.0, p.est_exec_s);
     }
     const double co2_max = normaliser(co2, n);
     const double h2o_max = normaliser(h2o, n);
@@ -289,7 +344,7 @@ WaterWiseScheduler::ChunkPricing WaterWiseScheduler::price_chunk(
     price.region_cost[static_cast<std::size_t>(r)] =
         config_.lambda_co2 * ci[r] / ci_max +
         config_.lambda_h2o * wi[r] / wi_max;
-  return price;
+  price.costed = true;
 }
 
 milp::Solution WaterWiseScheduler::run_model(const ChunkPlan& plan,
@@ -572,9 +627,10 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);
   span.arg("jobs", plan.jobs.size());
-  // Retry-ladder rung that produced the chunk's placements: 1 = primary
-  // MILP, 2 = relaxed-budget retry, 3 = greedy fallback.  Annotated on the
-  // span together with the per-solve solver counters.
+  // Retry-ladder rung that produced the chunk's placements: 0 = the hard
+  // rung's pre-pass, 1 = primary MILP, 2 = relaxed-budget retry, 3 = greedy
+  // fallback.  Annotated on the span together with the per-solve solver
+  // counters.
   int rung = 1;
   const auto annotate = [this, &span, &out](int final_rung) {
     const auto count = [&out](obs::Counter c) {
@@ -602,8 +658,14 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     return true;
   };
 
-  // Every rung below reads this one table; nothing re-prices a pair.
-  const ChunkPricing price = price_chunk(plan, ctx);
+  // Every rung below reads this one table; nothing re-prices a pair.  The
+  // Eq. 8 costs are filled the first time a rung needs them, so a chunk
+  // the pre-pass decides never prices a footprint.
+  ChunkPricing price = price_chunk(plan, ctx);
+  const auto costed = [&]() -> const ChunkPricing& {
+    if (!price.costed) cost_chunk(plan, ctx, price);
+    return price;
+  };
 
   // Places job j in region r (r < 0: none) against the leftover quota, or
   // leaves it spill-eligible.  The start time is the transfer latency away.
@@ -622,40 +684,57 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   };
 
   // --- Retry-then-degrade ladder ------------------------------------------
-  // Rung 0: hard feasibility probe (soft-enabled path only).
-  // Rung 1: primary model (soft, or hard in the soft-disabled ablation).
+  // Rung 0: the hard model (Eq. 9-11), a feasibility probe when softening
+  //         is on and the primary model (rung 1) in the soft-disabled
+  //         ablation.  Its pre-pass decides it without a model when every
+  //         job has one admissible region, and skips it when infeasible.
+  // Rung 1: the soft model (Eq. 12-13), when softening is on.
   // Rung 2: one retry of the primary model with relaxed node/iteration
   //         budgets — skipped when the model is *proven* infeasible, since
   //         a bigger tree can only re-prove it.
   // Rung 3: guaranteed-feasible greedy placement against the chunk quota.
   // Remainder: spill-eligible, then an explicit deferral — never a drop.
+  const bool soft_on = config_.enable_soft_constraints;
+  std::vector<int> only;
+  const ChunkPricing::Forced forced = price.forced(plan.quota, only);
   milp::Solution sol;
-  bool proven_infeasible = false;
-  if (config_.enable_soft_constraints) {
-    sol = run_model(plan, price, /*soft=*/false, /*budget_scale=*/1,
+  if (forced == ChunkPricing::Forced::Mixed)
+    sol = run_model(plan, costed(), /*soft=*/false, /*budget_scale=*/1,
                     out.shard);
-    if (injected(0)) sol = milp::Solution{};
-    if (!sol.usable()) {
-      // Algorithm 1, lines 10-11: soften and retry.
-      out.shard.add(handles_.soft_fallbacks);
-      sol = run_model(plan, price, /*soft=*/true, /*budget_scale=*/1,
-                      out.shard);
-      if (injected(1)) sol = milp::Solution{};
-    }
-  } else {
-    sol = run_model(plan, price, /*soft=*/false, /*budget_scale=*/1,
+  bool decided = forced == ChunkPricing::Forced::Placed;
+  bool proven_infeasible =
+      !soft_on && (forced == ChunkPricing::Forced::Mixed
+                       ? sol.status == milp::Status::Infeasible
+                       : forced == ChunkPricing::Forced::Infeasible);
+  // An injected failure loses the outcome, the pre-pass's as a solve's,
+  // *and* the infeasibility proof.
+  if (injected(soft_on ? 0 : 1)) {
+    sol = milp::Solution{};
+    decided = false;
+    proven_infeasible = false;
+  }
+
+  if (decided) {
+    // The hard model's only feasible point: every job at its one
+    // admissible region, within quota by the pre-pass's check.
+    for (int j = 0; j < static_cast<int>(plan.jobs.size()); ++j)
+      (void)place(j, only[static_cast<std::size_t>(j)]);
+    out.shard.add(handles_.forced_chunks);
+    annotate(0);
+    return out;
+  }
+
+  if (soft_on && !sol.usable()) {
+    // Algorithm 1, lines 10-11: soften and retry.
+    out.shard.add(handles_.soft_fallbacks);
+    sol = run_model(plan, costed(), /*soft=*/true, /*budget_scale=*/1,
                     out.shard);
-    proven_infeasible = sol.status == milp::Status::Infeasible;
-    // An injected failure loses the outcome *and* the infeasibility proof.
-    if (injected(1)) {
-      sol = milp::Solution{};
-      proven_infeasible = false;
-    }
+    if (injected(1)) sol = milp::Solution{};
   }
 
   if (!sol.usable() && !proven_infeasible) {
     out.shard.add(handles_.solve_retries);
-    sol = run_model(plan, price, /*soft=*/config_.enable_soft_constraints,
+    sol = run_model(plan, costed(), /*soft=*/soft_on,
                     config_.retry_budget_multiplier, out.shard);
     if (injected(2)) sol = milp::Solution{};
     if (sol.usable()) rung = 2;
@@ -670,7 +749,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     // trade.  The soft-disabled ablation keeps Eq. 11 hard, so there the
     // greedy defers instead — the backlog is that ablation's measurement.
     // The remainder spills, then defers explicitly.
-    const bool allow_late = config_.enable_soft_constraints;
+    (void)costed();
     const std::vector<int> assign = greedy_assign(
         plan.jobs, out.leftover,
         [&](int j, int r) {
@@ -679,7 +758,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
           const double cost = price.region_cost[static_cast<std::size_t>(r)];
           return std::make_tuple(late, late ? pair.exceedance : 0.0, cost);
         },
-        [&](int j, int r) { return allow_late || !price.at(j, r).late(); });
+        [&](int j, int r) { return soft_on || !price.at(j, r).late(); });
     for (int j = 0; j < static_cast<int>(plan.jobs.size()); ++j)
       if (place(j, assign[static_cast<std::size_t>(j)]))
         out.shard.add(handles_.fallback_placements);

@@ -58,20 +58,29 @@
 // ## Graceful degradation
 //
 // Chunk solves run a bounded retry-then-degrade ladder instead of a single
-// hard->soft fallback: hard probe -> (soft model) -> one retry with relaxed
-// node/iteration budgets -> guaranteed-feasible greedy placement inside the
-// chunk quota -> explicit deferral.  Every rung reads one per-chunk pricing
-// table (`ChunkPricing`: delay allowance and penalty rate per job; transfer
-// latency, Eq. 8 coefficient and exceedance per (job, region) pair; the
-// fallback's intensity cost per region), built once before the first rung,
-// so no rung re-prices a pair.  Every rung is deterministic — budgets are
-// node/iteration counts, never wall-clock — and every job ends placed or
-// counted in the `sched.deferred_jobs` registry counter; nothing is
-// silently dropped.  A per-region Normal -> Degraded -> Recovery state
-// machine (DegradedModeConfig) watches capacity losses and observed
-// intensity jumps and clamps how much of a faulty region's capacity new
-// placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
-// failures (env::injected_solve_failure) to exercise the ladder.
+// hard->soft fallback: pre-pass -> hard probe -> (soft model) -> one retry
+// with relaxed node/iteration budgets -> guaranteed-feasible greedy
+// placement inside the chunk quota -> explicit deferral.  The pre-pass is
+// the hard model's singleton-row presolve done before any model exists: a
+// job whose only admissible region (quota left, latency within allowance)
+// is forced there.  When every job is forced and the forced jobs fit the
+// quota, that is the hard model's only feasible point and the chunk is
+// placed with no solve (`sched.forced_chunks`); when a job has no
+// admissible region or forced jobs overflow a quota, the hard model is
+// infeasible and its build is skipped.  Every rung reads one per-chunk
+// pricing table (`ChunkPricing`: delay allowance and penalty rate per job;
+// transfer latency, exceedance and Eq. 8 coefficient per (job, region)
+// pair; the fallback's intensity cost per region), so no rung re-prices a
+// pair; the costs are filled only when a rung past the pre-pass needs
+// them.  Every rung is deterministic — budgets are node/iteration counts,
+// never wall-clock — and every job ends placed or counted in the
+// `sched.deferred_jobs` registry counter; nothing is silently dropped.  An
+// injected failure discards the pre-pass's answer as it would a solve's.
+// A per-region Normal -> Degraded -> Recovery state machine
+// (DegradedModeConfig) watches capacity losses and observed intensity jumps
+// and clamps how much of a faulty region's capacity new placements may
+// claim.  `WW_FAULT_SOLVES` injects deterministic solve failures
+// (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
 #include <cstddef>
@@ -245,8 +254,9 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<const dc::PendingJob*>& selected,
       const std::vector<int>& caps) const;
 
-  /// Stage 2: solves one chunk against its private quota (hard model, then
-  /// the Algorithm-1 soft fallback) and extracts decisions.  Const and
+  /// Stage 2: solves one chunk against its private quota (the pre-pass,
+  /// the hard model, then the Algorithm-1 soft fallback; see "Graceful
+  /// degradation") and extracts decisions.  Const and
   /// side-effect-free — safe to run concurrently for different plans; all
   /// diagnostics land in the returned ChunkResult's shard.
   [[nodiscard]] ChunkResult solve_one(const ChunkPlan& plan,
@@ -260,18 +270,27 @@ class WaterWiseScheduler final : public dc::Scheduler {
 
  private:
   /// One chunk's prices (defined in waterwise.cpp): a pure function of the
-  /// plan, the context, the config and the history learner, read by every
-  /// rung of the ladder and by both greedies.
+  /// plan, the context, the config and the history learner, read by the
+  /// pre-pass, every rung of the ladder and both greedies.  Filled in two
+  /// stages.  `price_chunk` always runs: per job the delay allowance and
+  /// penalty rate, per (job, region) pair the transfer latency and the
+  /// exceedance — all the hard rung's pre-pass reads.  `cost_chunk` fills
+  /// the Eq. 8 coefficients and the fallback's region costs the first time
+  /// a rung needs them, so a chunk the pre-pass decides never prices a
+  /// footprint.
   struct ChunkPricing;
   [[nodiscard]] ChunkPricing price_chunk(const ChunkPlan& plan,
                                          const dc::ScheduleContext& ctx) const;
+  void cost_chunk(const ChunkPlan& plan, const dc::ScheduleContext& ctx,
+                  ChunkPricing& price) const;
 
-  /// Builds and solves Eq. 8-13 for `plan` from its pricing table: the hard
-  /// model (`soft` false) fixes x_mn = 0 for every pair whose latency
-  /// exceeds the job's allowance, the soft model adds one penalty row per
-  /// such pair.  `budget_scale` multiplies the node/iteration budgets
-  /// (saturating) for the ladder's retry rung.  Solver counters accumulate
-  /// into `shard`.
+  /// Builds and solves Eq. 8-13 for `plan` from its costed pricing table:
+  /// the hard model (`soft` false) fixes x_mn = 0 for every pair whose
+  /// latency exceeds the job's allowance, the soft model adds one penalty
+  /// row per such pair.  Only chunks the pre-pass leaves open reach the
+  /// hard model here.  `budget_scale` multiplies the node/iteration
+  /// budgets (saturating) for the ladder's retry rung.  Solver counters
+  /// accumulate into `shard`.
   [[nodiscard]] milp::Solution run_model(const ChunkPlan& plan,
                                          const ChunkPricing& price, bool soft,
                                          long budget_scale,
@@ -317,7 +336,7 @@ class WaterWiseScheduler final : public dc::Scheduler {
     obs::Counter presolve_nonzeros_removed;
     obs::Counter chunks_planned, spill_jobs, spill_resolves;
     obs::Counter fault_events, degraded_windows, solve_retries;
-    obs::Counter fallback_placements, deferred_jobs, windows;
+    obs::Counter fallback_placements, deferred_jobs, forced_chunks, windows;
     obs::Gauge presolve_seconds, solve_seconds;
     obs::Hist decision_latency_s, queue_depth, time_to_admission_s;
     /// Work-stealing visibility (observational, like decision_latency_s:

@@ -8,15 +8,23 @@ namespace ww::env {
 
 TransferModel::TransferModel(std::vector<std::pair<double, double>> lat_lon,
                              TransferConfig config)
-    : points_(std::move(lat_lon)), config_(config) {
-  if (points_.empty())
+    : n_(lat_lon.size()), config_(config) {
+  if (n_ == 0)
     throw std::invalid_argument("TransferModel: need at least one region");
+  // Every latency and transfer-energy query reads a distance; compute each
+  // haversine once here instead of on every query.
+  distance_km_.reserve(n_ * n_);
+  for (const auto& [lat_a, lon_a] : lat_lon)
+    for (const auto& [lat_b, lon_b] : lat_lon)
+      distance_km_.push_back(haversine_km(lat_a, lon_a, lat_b, lon_b));
 }
 
 double TransferModel::distance_km(int from, int to) const {
-  const auto& a = points_.at(static_cast<std::size_t>(from));
-  const auto& b = points_.at(static_cast<std::size_t>(to));
-  return haversine_km(a.first, a.second, b.first, b.second);
+  const auto a = static_cast<std::size_t>(from);
+  const auto b = static_cast<std::size_t>(to);
+  if (a >= n_ || b >= n_)
+    throw std::out_of_range("TransferModel: region index out of range");
+  return distance_km_[a * n_ + b];
 }
 
 double TransferModel::latency_seconds(int from, int to, double bytes) const {

@@ -8,6 +8,8 @@
 // a per-byte WAN energy factor plus a small distance term.
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace ww::env {
@@ -38,13 +40,16 @@ class TransferModel {
   /// for accounting purposes.
   [[nodiscard]] double energy_kwh(int from, int to, double bytes) const;
 
+  /// Great-circle distance between two regions, read from the n x n table
+  /// filled at construction.  Throws std::out_of_range for a bad index.
   [[nodiscard]] double distance_km(int from, int to) const;
   [[nodiscard]] int num_regions() const noexcept {
-    return static_cast<int>(points_.size());
+    return static_cast<int>(n_);
   }
 
  private:
-  std::vector<std::pair<double, double>> points_;
+  std::size_t n_;
+  std::vector<double> distance_km_;  ///< Row-major: (from, to) at from*n+to.
   TransferConfig config_;
 };
 

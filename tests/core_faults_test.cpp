@@ -1,10 +1,12 @@
 // Graceful-degradation coverage for the scheduler (core/waterwise.hpp):
 // the retry-then-degrade ladder never drops a job silently even when every
-// MILP attempt is failed by injection, injected failures stay byte-identical
-// across solver thread counts, a total outage defers explicitly and places
-// everything after the blackout, a chunk-solve exception surfaces fail-fast
-// with chunk/window context, and the per-region state machine walks
-// Normal -> Degraded -> Recovery -> Normal with its hard-cap rails engaged.
+// MILP attempt is failed by injection, the hard rung's pre-pass places
+// forced chunks without a solve and skips infeasible hard models, injected
+// failures stay byte-identical across solver thread counts, a total outage
+// defers explicitly and places everything after the blackout, a chunk-solve
+// exception surfaces fail-fast with chunk/window context, and the
+// per-region state machine walks Normal -> Degraded -> Recovery -> Normal
+// with its hard-cap rails engaged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/waterwise.hpp"
@@ -245,6 +248,200 @@ TEST(RetryLadder, FallbackPicksCheapestAdmissibleThenLeastExceedance) {
       EXPECT_EQ(expected_placed, static_cast<long>(ref.size()) - late);
     }
   }
+}
+
+/// The regions the hard model admits per batch index, stated independently
+/// of the scheduler: quota left and transfer latency within the Eq. 11
+/// allowance.
+std::vector<std::vector<int>> admissible_regions(const DirectRig& rig,
+                                                 const WaterWiseConfig& cfg,
+                                                 const std::vector<int>& quota,
+                                                 double now, double tol) {
+  std::vector<std::vector<int>> out(rig.batch.size());
+  for (std::size_t i = 0; i < rig.batch.size(); ++i) {
+    const dc::PendingJob& p = rig.batch[i];
+    const double allowance =
+        std::max(0.0, tol * cfg.delay_estimate_margin * p.est_exec_s -
+                          (now - p.first_seen));
+    for (int r = 0; r < static_cast<int>(quota.size()); ++r)
+      if (quota[static_cast<std::size_t>(r)] > 0 &&
+          rig.env.transfer_latency_seconds(p.job->home_region, r,
+                                           p.job->package_bytes) -
+                  allowance <=
+              0.0)
+        out[i].push_back(r);
+  }
+  return out;
+}
+
+/// The default config with no injected solve failures, whatever
+/// WW_FAULT_SOLVES says: the pre-pass tests count exact solver calls.
+WaterWiseConfig uninjected() {
+  WaterWiseConfig cfg;
+  cfg.solve_failure_rate = 0.0;
+  return cfg;
+}
+
+/// Decisions per region never exceed `caps`.
+void expect_within_caps(const std::vector<dc::Decision>& placed,
+                        const std::vector<int>& caps) {
+  std::vector<int> used(caps.size(), 0);
+  for (const dc::Decision& d : placed)
+    ++used[static_cast<std::size_t>(d.region)];
+  for (std::size_t r = 0; r < caps.size(); ++r)
+    EXPECT_LE(used[r], caps[r]) << "region " << r;
+}
+
+TEST(ForcedPrePass, AllForcedChunkIsPlacedWithoutAModel) {
+  // Each job has one admissible region: its home at a tight tolerance, or
+  // the only region with quota at a loose one.  That is the hard model's
+  // only feasible point, and the chunk must be placed there with no solve.
+  const DirectRig rig(12);
+  const double now = 0.0;
+  for (const auto& [caps, tol] :
+       {std::pair<std::vector<int>, double>{{5, 5, 12, 5, 5}, 0.01},
+        std::pair<std::vector<int>, double>{{0, 12, 0, 0, 0}, 5.0}}) {
+    WaterWiseScheduler ww(uninjected());
+    const auto admissible =
+        admissible_regions(rig, ww.config(), caps, now, tol);
+    for (std::size_t i = 0; i < admissible.size(); ++i)
+      ASSERT_EQ(admissible[i].size(), 1u) << "job " << i << " is not forced";
+    const auto placed = rig.run(ww, caps, now, tol);
+
+    ASSERT_EQ(placed.size(), rig.batch.size()) << "tol=" << tol;
+    for (std::size_t k = 0; k < placed.size(); ++k) {
+      const dc::Decision& d = placed[k];
+      EXPECT_EQ(d.job_id, rig.jobs[k].id) << "decisions leave in job order";
+      const auto i = static_cast<std::size_t>(d.job_id);
+      EXPECT_EQ(d.region, admissible[i][0]) << "job " << i;
+      const trace::Job& job = rig.jobs[i];
+      EXPECT_EQ(d.start_time,
+                now + rig.env.transfer_latency_seconds(
+                          job.home_region, d.region, job.package_bytes))
+          << "job " << i;
+    }
+    const obs::Registry& reg = ww.registry();
+    EXPECT_EQ(counter(reg, "milp_solves"), 0) << "tol=" << tol;
+    EXPECT_EQ(counter(reg, "forced_chunks"), 1) << "tol=" << tol;
+    EXPECT_EQ(counter(reg, "soft_fallbacks"), 0) << "tol=" << tol;
+    EXPECT_EQ(counter(reg, "deferred_jobs"), 0) << "tol=" << tol;
+  }
+}
+
+TEST(ForcedPrePass, ForcedOverflowGoesStraightToTheSoftModel) {
+  // Every job is forced home, but the home quota holds 4 of 12: the hard
+  // model is infeasible, so only the soft model is built and solved.
+  const DirectRig rig(12);
+  const std::vector<int> caps = {5, 5, 4, 5, 5};
+  const double tol = 0.01;
+  WaterWiseScheduler ww(uninjected());
+  for (const auto& regions : admissible_regions(rig, ww.config(), caps, 0.0,
+                                                tol))
+    ASSERT_EQ(regions, std::vector<int>{2});
+  const auto placed = rig.run(ww, caps, 0.0, tol);
+
+  ASSERT_EQ(placed.size(), 12u);
+  std::set<std::uint64_t> ids;
+  for (const dc::Decision& d : placed) ids.insert(d.job_id);
+  EXPECT_EQ(ids.size(), 12u) << "a job was placed twice";
+  expect_within_caps(placed, caps);
+  const obs::Registry& reg = ww.registry();
+  EXPECT_EQ(counter(reg, "soft_fallbacks"), 1);
+  EXPECT_EQ(counter(reg, "milp_solves"), 1) << "only the soft model solves";
+  EXPECT_EQ(counter(reg, "forced_chunks"), 0);
+  EXPECT_EQ(counter(reg, "solve_retries"), 0);
+  EXPECT_EQ(counter(reg, "deferred_jobs"), 0);
+}
+
+TEST(ForcedPrePass, ForcedOverflowWithoutSofteningDefersTheOverflow) {
+  // The soft-disabled ablation on the scenario above: the pre-pass proves
+  // the hard model infeasible, so there is no retry, and the fallback
+  // places what the home quota holds.  The rest has no admissible region
+  // in the spill pool either and defers.
+  const DirectRig rig(12);
+  const std::vector<int> caps = {5, 5, 4, 5, 5};
+  const double tol = 0.01;
+  WaterWiseConfig cfg = uninjected();
+  cfg.enable_soft_constraints = false;
+  WaterWiseScheduler ww(cfg);
+  const std::vector<int> ref =
+      reference_fallback(rig, ww.config(), caps, 0.0, tol, false);
+  const long expected_placed = std::count(ref.begin(), ref.end(), 2);
+  ASSERT_EQ(expected_placed, 4);
+  const auto placed = rig.run(ww, caps, 0.0, tol);
+
+  ASSERT_EQ(static_cast<long>(placed.size()), expected_placed);
+  for (const dc::Decision& d : placed)
+    EXPECT_EQ(d.region, ref[static_cast<std::size_t>(d.job_id)])
+        << "job " << d.job_id;
+  const obs::Registry& reg = ww.registry();
+  EXPECT_EQ(counter(reg, "solve_retries"), 0);
+  EXPECT_EQ(counter(reg, "milp_solves"), 0);
+  EXPECT_EQ(counter(reg, "fallback_placements"), expected_placed);
+  EXPECT_EQ(counter(reg, "spill_resolves"), 1);
+  EXPECT_EQ(counter(reg, "deferred_jobs"), 12 - expected_placed);
+}
+
+TEST(ForcedPrePass, MixedChunkStillBuildsTheHardModel) {
+  // At the default tolerance some jobs may move and some may not: the
+  // pre-pass cannot decide the chunk, so the hard model does.
+  const DirectRig rig(12);
+  const std::vector<int> caps = {5, 5, 10, 5, 5};
+  const double tol = 0.5;
+  WaterWiseScheduler ww(uninjected());
+  const auto admissible = admissible_regions(rig, ww.config(), caps, 0.0, tol);
+  bool some_forced = false;
+  bool some_free = false;
+  for (const auto& regions : admissible) {
+    some_forced = some_forced || regions.size() == 1;
+    some_free = some_free || regions.size() > 1;
+  }
+  ASSERT_TRUE(some_forced && some_free) << "the chunk is not mixed";
+  const auto placed = rig.run(ww, caps, 0.0, tol);
+
+  ASSERT_EQ(placed.size(), 12u);
+  for (const dc::Decision& d : placed) {
+    const auto& regions = admissible[static_cast<std::size_t>(d.job_id)];
+    EXPECT_NE(std::find(regions.begin(), regions.end(), d.region),
+              regions.end())
+        << "job " << d.job_id << " placed late by the hard model";
+  }
+  expect_within_caps(placed, caps);
+  const obs::Registry& reg = ww.registry();
+  EXPECT_EQ(counter(reg, "milp_solves"), 1);
+  EXPECT_EQ(counter(reg, "forced_chunks"), 0);
+  EXPECT_EQ(counter(reg, "soft_fallbacks"), 0);
+}
+
+TEST(ForcedPrePass, InjectedFailureDiscardsTheForcedAnswer) {
+  // Every attempt is failed by injection, so the forced answer is dropped
+  // after the hard rung like a solve's, and the ladder runs on to the
+  // fallback: the same placements as the fallback reference.
+  const DirectRig rig(12);
+  const std::vector<int> caps = {5, 5, 12, 5, 5};
+  const double tol = 0.01;
+  WaterWiseConfig cfg;
+  cfg.solve_failure_rate = 1.0;
+  cfg.fault_seed = 1004;
+  WaterWiseScheduler ww(cfg);
+  for (const auto& regions : admissible_regions(rig, ww.config(), caps, 0.0,
+                                                tol))
+    ASSERT_EQ(regions.size(), 1u);
+  const std::vector<int> ref =
+      reference_fallback(rig, ww.config(), caps, 0.0, tol, true);
+  const auto placed = rig.run(ww, caps, 0.0, tol);
+
+  ASSERT_EQ(placed.size(), 12u);
+  for (const dc::Decision& d : placed)
+    EXPECT_EQ(d.region, ref[static_cast<std::size_t>(d.job_id)])
+        << "job " << d.job_id;
+  const obs::Registry& reg = ww.registry();
+  EXPECT_EQ(counter(reg, "forced_chunks"), 0);
+  EXPECT_EQ(counter(reg, "fault_events"), 3);
+  EXPECT_EQ(counter(reg, "soft_fallbacks"), 1);
+  EXPECT_EQ(counter(reg, "solve_retries"), 1);
+  EXPECT_EQ(counter(reg, "milp_solves"), 2) << "soft model and retry";
+  EXPECT_EQ(counter(reg, "fallback_placements"), 12);
 }
 
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {

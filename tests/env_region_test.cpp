@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "env/latency.hpp"
 #include "env/region.hpp"
 
@@ -91,6 +95,23 @@ TEST(Transfer, EnergyGrowsWithBytesAndDistance) {
       {{47.38, 8.54}, {45.46, 9.19}, {19.08, 72.88}});
   EXPECT_GT(model.energy_kwh(0, 1, 2e9), model.energy_kwh(0, 1, 1e9));
   EXPECT_GT(model.energy_kwh(0, 2, 1e9), model.energy_kwh(0, 1, 1e9));
+}
+
+TEST(Transfer, DistanceTableMatchesHaversineAndRejectsBadIndex) {
+  // Zurich, Milan, Mumbai.
+  const std::vector<std::pair<double, double>> pts = {
+      {47.38, 8.54}, {45.46, 9.19}, {19.08, 72.88}};
+  const TransferModel model(pts);
+  for (int a = 0; a < 3; ++a)
+    for (int b = 0; b < 3; ++b) {
+      const auto& pa = pts[static_cast<std::size_t>(a)];
+      const auto& pb = pts[static_cast<std::size_t>(b)];
+      EXPECT_EQ(model.distance_km(a, b),
+                haversine_km(pa.first, pa.second, pb.first, pb.second))
+          << a << "->" << b;
+    }
+  EXPECT_THROW((void)model.distance_km(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)model.distance_km(0, 3), std::out_of_range);
 }
 
 TEST(Transfer, RejectsEmpty) {
