@@ -53,6 +53,7 @@ void SimplexSolver::build_standard_form(const Model& model) {
   cost_.assign(static_cast<std::size_t>(n), 0.0);
   base_lb_.assign(static_cast<std::size_t>(n), 0.0);
   base_ub_.assign(static_cast<std::size_t>(n), 0.0);
+  alpha_mark_.assign(static_cast<std::size_t>(n), 0);
 
   for (int j = 0; j < n_struct_; ++j) {
     const Variable& v = model.variable(j);
@@ -60,6 +61,9 @@ void SimplexSolver::build_standard_form(const Model& model) {
     base_lb_[static_cast<std::size_t>(j)] = v.lower;
     base_ub_[static_cast<std::size_t>(j)] = v.upper;
   }
+  row_start_.assign(1, 0);
+  row_cols_.clear();
+  row_vals_.clear();
   for (int i = 0; i < m_; ++i) {
     const Constraint& c = model.constraint(i);
     rhs_[static_cast<std::size_t>(i)] = c.rhs;
@@ -67,12 +71,17 @@ void SimplexSolver::build_standard_form(const Model& model) {
       auto& col = cols_[static_cast<std::size_t>(t.var)];
       col.rows.push_back(i);
       col.values.push_back(t.coeff);
+      row_cols_.push_back(t.var);
+      row_vals_.push_back(t.coeff);
     }
     // Logical column: row + slack = rhs, slack bounds encode the sense.
     const int sj = n_struct_ + i;
     auto& slack = cols_[static_cast<std::size_t>(sj)];
     slack.rows.push_back(i);
     slack.values.push_back(1.0);
+    row_cols_.push_back(sj);
+    row_vals_.push_back(1.0);
+    row_start_.push_back(static_cast<int>(row_cols_.size()));
     switch (c.sense) {
       case Sense::LessEqual:
         base_lb_[static_cast<std::size_t>(sj)] = 0.0;
@@ -252,13 +261,44 @@ void SimplexSolver::compute_pivot_row(int pos) {
   if (alpha_.size() != cols_.size()) alpha_.assign(cols_.size(), 0.0);
   for (const int j : alpha_cols_) alpha_[static_cast<std::size_t>(j)] = 0.0;
   alpha_cols_.clear();
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
-    if (state_[j] == NonbasicState::Basic) continue;
-    if (lb_[j] == ub_[j]) continue;  // fixed column can never move
+  // Scatter rho's nonzero rows of the structural + logical matrix in
+  // ascending row order: each alpha_j then sums its terms in the order of
+  // a column-wise dot product, so the values are bit-identical to it.
+  for (std::size_t i = 0; i < mu; ++i) {
+    const double r = rho_[i];
+    if (r == 0.0) continue;
+    const auto end = static_cast<std::size_t>(row_start_[i + 1]);
+    for (auto k = static_cast<std::size_t>(row_start_[i]); k < end; ++k) {
+      const auto j = static_cast<std::size_t>(row_cols_[k]);
+      if (alpha_mark_[j] == 0) {
+        alpha_mark_[j] = 1;
+        alpha_cols_.push_back(static_cast<int>(j));
+      }
+      alpha_[j] += r * row_vals_[k];
+    }
+  }
+  // Keep the entries of movable nonbasic columns that did not cancel to
+  // zero, in ascending column order (the dual ratio test breaks ties by it).
+  std::size_t keep = 0;
+  for (const int j : alpha_cols_) {
+    const auto ju = static_cast<std::size_t>(j);
+    alpha_mark_[ju] = 0;
+    if (state_[ju] == NonbasicState::Basic || lb_[ju] == ub_[ju] ||
+        alpha_[ju] == 0.0) {
+      alpha_[ju] = 0.0;
+      continue;
+    }
+    alpha_cols_[keep++] = j;
+  }
+  alpha_cols_.resize(keep);
+  std::sort(alpha_cols_.begin(), alpha_cols_.end());
+  // Artificial columns (one entry each) come last in column order.
+  for (auto j = static_cast<std::size_t>(n_struct_ + n_logic_);
+       j < cols_.size(); ++j) {
+    if (state_[j] == NonbasicState::Basic || lb_[j] == ub_[j]) continue;
     const auto& col = cols_[j];
-    double a = 0.0;
-    for (std::size_t k = 0; k < col.rows.size(); ++k)
-      a += rho_[static_cast<std::size_t>(col.rows[k])] * col.values[k];
+    const double a =
+        rho_[static_cast<std::size_t>(col.rows[0])] * col.values[0];
     if (a != 0.0) {
       alpha_[j] = a;
       alpha_cols_.push_back(static_cast<int>(j));
@@ -317,12 +357,12 @@ int SimplexSolver::rebuild_candidates(int& direction) {
   // (score, column) of every eligible column; the candidate list keeps the
   // top slice so subsequent iterations price against a short list instead
   // of rescanning all n columns.
-  std::vector<std::pair<double, int>> scored;
+  scored_.clear();
   for (std::size_t j = 0; j < cols_.size(); ++j) {
     int dir = 0;
     if (!eligible(j, dir)) continue;
     const double s = pricing_score(j);
-    if (build_list) scored.emplace_back(s, static_cast<int>(j));
+    if (build_list) scored_.emplace_back(s, static_cast<int>(j));
     if (s > best_score) {  // strict: ties keep the lowest column index
       best_score = s;
       best = static_cast<int>(j);
@@ -336,17 +376,17 @@ int SimplexSolver::rebuild_candidates(int& direction) {
 
   const std::size_t cap = std::max<std::size_t>(
       16, cols_.size() / 16);
-  if (scored.size() > cap) {
-    std::nth_element(scored.begin(),
-                     scored.begin() + static_cast<std::ptrdiff_t>(cap),
-                     scored.end(), [](const auto& a, const auto& b) {
+  if (scored_.size() > cap) {
+    std::nth_element(scored_.begin(),
+                     scored_.begin() + static_cast<std::ptrdiff_t>(cap),
+                     scored_.end(), [](const auto& a, const auto& b) {
                        return a.first != b.first ? a.first > b.first
                                                  : a.second < b.second;
                      });
-    scored.resize(cap);
+    scored_.resize(cap);
   }
-  candidates_.reserve(scored.size());
-  for (const auto& [s, j] : scored) candidates_.push_back(j);
+  candidates_.reserve(scored_.size());
+  for (const auto& [s, j] : scored_) candidates_.push_back(j);
   std::sort(candidates_.begin(), candidates_.end());
 
   direction = best_dir;

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "milp/basis_lu.hpp"
@@ -97,9 +98,12 @@ class SimplexSolver {
   /// another spike-saving ftran between this and the pivot it feeds.
   void ftran_column(const SparseColumn& col, std::vector<double>& out) const;
   /// Computes row `pos` of B^-1 A over all candidate-eligible columns:
-  /// rho_ = btran(e_pos), then alpha_[j] = rho_ . A_j for every nonbasic j
-  /// (basic columns and fixed columns get 0).  Also records the touched
-  /// column list in alpha_cols_.
+  /// rho_ = btran(e_pos), then alpha_ = rho_^T A by a row-wise scatter of
+  /// only rho_'s nonzero rows (hyper-sparse PRICE, Hall & McKinnon 2005),
+  /// in ascending row order so every alpha_j is bit-identical to the
+  /// column-wise dot product rho_ . A_j.  Basic and fixed columns and
+  /// entries that cancel to exactly zero are dropped; alpha_cols_ lists the
+  /// rest in ascending column order.
   void compute_pivot_row(int pos);
 
   // --- simplex core ------------------------------------------------------
@@ -148,6 +152,11 @@ class SimplexSolver {
   int n_art_ = 0;    ///< Artificial columns (appended at solve time).
 
   std::vector<SparseColumn> cols_;  ///< struct + logic + artificial columns.
+  /// Row-wise (CSR) copy of the struct + logic columns, for the pivot-row
+  /// scatter: row i holds row_cols_/row_vals_[row_start_[i], row_start_[i+1]).
+  std::vector<int> row_start_;
+  std::vector<int> row_cols_;
+  std::vector<double> row_vals_;
   std::vector<double> rhs_;
   std::vector<double> cost_;       ///< Phase-2 objective per column.
   std::vector<double> phase_cost_; ///< Active objective per column.
@@ -184,6 +193,10 @@ class SimplexSolver {
   std::vector<double> rho_;        ///< btran(e_pos) for the pivot row.
   std::vector<double> alpha_;      ///< Pivot row over nonbasic columns.
   std::vector<int> alpha_cols_;    ///< Columns with nonzero alpha_.
+  std::vector<unsigned char> alpha_mark_;  ///< Struct/logic column touched
+                                           ///< by the current scatter.
+  std::vector<std::pair<double, int>> scored_;  ///< rebuild_candidates'
+                                                ///< (score, column) list.
 };
 
 }  // namespace ww::milp

@@ -547,9 +547,10 @@ TEST(DegradedMode, StateMachineDegradesThenRecoversWithCapRails) {
   // Drive the per-region state machine directly with 60-second windows:
   // two blackout windows degrade every region, the first clean windows keep
   // the 25% degraded rail on, recovery ramps at 50%, and a fully recovered
-  // scheduler places an entire burst again.
+  // scheduler places an entire burst again.  Injected solve failures are
+  // pinned off: each one is a fault event, and the counts below are exact.
   const DirectRig rig(40);
-  WaterWiseScheduler ww;
+  WaterWiseScheduler ww(uninjected());
   const std::vector<dc::PendingJob> empty;
   const std::vector<int> up(5, 10);
   const std::vector<int> down(5, 0);

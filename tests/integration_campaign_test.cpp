@@ -106,7 +106,11 @@ TEST_F(CampaignTest, RegionSubsetsStillWork) {
     sim_cfg.tol = 0.5;
     dc::Simulator sim(env, fp, sim_cfg);
     sched::BaselineScheduler baseline;
-    core::WaterWiseScheduler ww;
+    // Injected solve failures (WW_FAULT_SOLVES) are pinned off: the
+    // savings assertion is about the MILP's placements, not the fallback's.
+    core::WaterWiseConfig ww_cfg;
+    ww_cfg.solve_failure_rate = 0.0;
+    core::WaterWiseScheduler ww(ww_cfg);
     const auto base = sim.run(jobs, baseline);
     const auto res = sim.run(jobs, ww);
     EXPECT_EQ(res.num_jobs, static_cast<long>(jobs.size()));

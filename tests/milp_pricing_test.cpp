@@ -2,10 +2,14 @@
 // identical optimal objectives across the instance corpus, under forced
 // Bland fallback (Beale's cycling LP), and across forced refactorization
 // cadences (Forrest-Tomlin update-budget sweep) — the knobs must change
-// speed, never answers.
+// speed, never answers — plus pinned work counters that catch a change to
+// the pivot sequence the objectives alone would not show.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
@@ -190,6 +194,175 @@ TEST(Pricing, WarmStartAgreesUnderDevexAndDantzig) {
     const auto bar =
         static_cast<long>(std::ceil(0.9 * static_cast<double>(non_root)));
     EXPECT_GE(warm.warm_started_nodes, bar);
+  }
+}
+
+// ---- Pinned LP work ---------------------------------------------------------
+// The equivalence tests above compare objectives only, so a change to the
+// pivot-row column order (which breaks ties in the dual ratio test) or to
+// its exact values could alter the pivot sequence unnoticed.  These cases
+// pin the work counters and the objective's bit pattern of a cold solve
+// and of a dive of warm dual-simplex re-solves, recorded from the
+// column-wise pivot-row computation.  Every instance needs phase 1, and on these
+// transportation-shaped models (unit coefficients, +-1 pivot-row
+// multipliers) pivot-row entries cancel to exactly zero thousands of times
+// per solve, so the pins also cover dropping cancelled entries.
+
+/// Work counters and the objective's exact bits of one LP solve.
+struct LpWork {
+  long iterations = 0;
+  long refactorizations = 0;
+  long ft_updates = 0;
+  std::uint64_t objective_bits = 0;
+  bool operator==(const LpWork&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LpWork& w) {
+  return os << "{" << w.iterations << ", " << w.refactorizations << ", "
+            << w.ft_updates << ", 0x" << std::hex << w.objective_bits
+            << std::dec << "}";
+}
+
+LpWork work_of(const Solution& s) {
+  return {s.simplex_iterations, s.refactorizations, s.ft_updates,
+          std::bit_cast<std::uint64_t>(s.objective)};
+}
+
+/// Cold and warm work of one (instance, pricing, update budget) setting.
+struct PinnedWork {
+  LpWork cold;  ///< solve() from the slack basis (phase 1 when needed).
+  LpWork warm;  ///< Summed over a dive of warm re-solves; objective bits
+                ///< of the dive's last optimal solve.
+};
+
+/// Solves `m` cold, then dives: each step tightens the upper bound of the
+/// first structural column above its lower bound to floor(value - 1e-9)
+/// and re-solves from the previous optimal basis with the dual simplex,
+/// until a re-solve is not optimal (or after 12 steps).
+PinnedWork pinned_work(const Model& m, Pricing pricing, int update_budget) {
+  SolverOptions opts;
+  opts.pricing = pricing;
+  opts.update_budget = update_budget;
+  SimplexSolver s(m, opts);
+  const Solution cold = s.solve();
+  EXPECT_EQ(cold.status, Status::Optimal);
+  EXPECT_EQ(cold.phase1_nodes, 1);  // every pinned instance needs phase 1
+
+  std::vector<double> lower(static_cast<std::size_t>(m.num_variables()));
+  std::vector<double> upper(lower.size());
+  for (int j = 0; j < m.num_variables(); ++j) {
+    lower[static_cast<std::size_t>(j)] = m.variable(j).lower;
+    upper[static_cast<std::size_t>(j)] = m.variable(j).upper;
+  }
+  PinnedWork work{work_of(cold), {}};
+  std::vector<double> values = cold.values;
+  for (int step = 0; step < 12; ++step) {
+    const SimplexSolver::WarmStartBasis basis = s.capture_basis();
+    EXPECT_TRUE(basis.valid());
+    std::size_t j = 0;
+    while (j < lower.size() && values[j] <= lower[j] + 1e-9) ++j;
+    if (j == lower.size()) break;
+    upper[j] = std::floor(values[j] - 1e-9);
+    const Solution warm = s.solve_with_bounds(lower, upper, &basis);
+    EXPECT_EQ(warm.warm_started_nodes, 1);
+    work.warm.iterations += warm.simplex_iterations;
+    work.warm.refactorizations += warm.refactorizations;
+    work.warm.ft_updates += warm.ft_updates;
+    if (warm.status != Status::Optimal) break;
+    work.warm.objective_bits = std::bit_cast<std::uint64_t>(warm.objective);
+    values = warm.values;
+  }
+  return work;
+}
+
+struct PinnedCase {
+  const char* name;
+  Model (*build)();
+  Pricing pricing;
+  PinnedWork ft;           ///< Forrest-Tomlin updates (budget 64).
+  PinnedWork every_pivot;  ///< Refactorization after every pivot.
+};
+
+Model pinned_waterwise() { return waterwise_shaped_model(120, 5); }
+Model pinned_hard() { return hard_chunk_model(150, 8, 0.4); }
+Model pinned_soft() { return soft_chunk_model(60, 6); }
+Model pinned_weak() { return weak_relaxation_model(20, 4, 6.0); }
+/// Assignment LP with small integer costs: many nonbasic columns tie in
+/// the dual ratio test, which keeps the first in alpha_cols_ order, so the
+/// dive's pivots depend on that order (reversing it changes the counts).
+Model pinned_tied() {
+  const int jobs = 24;
+  const int regions = 4;
+  Model m;
+  for (int j = 0; j < jobs; ++j)
+    for (int r = 0; r < regions; ++r)
+      (void)m.add_binary(static_cast<double>((7 * j + 3 * r) % 4 + 1));
+  for (int j = 0; j < jobs; ++j) {
+    std::vector<Term> t;
+    for (int r = 0; r < regions; ++r) t.push_back({j * regions + r, 1.0});
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
+  }
+  for (int r = 0; r < regions; ++r) {
+    std::vector<Term> t;
+    for (int j = 0; j < jobs; ++j) t.push_back({j * regions + r, 1.0});
+    (void)m.add_constraint(std::move(t), Sense::LessEqual, 6.5);
+  }
+  return m;
+}
+
+// clang-format off
+const PinnedCase kPinned[] = {
+    {"waterwise_shaped_model(120, 5)", pinned_waterwise, Pricing::Devex,
+     {{561, 7, 385, 0x4048404bd30f6114}, {15, 5, 6, 0x4049259f8bc7d0d2}},
+     {{710, 548, 0, 0x4048404bd30f6114}, {14, 10, 0, 0x4049259f8bc7d0d2}}},
+    {"waterwise_shaped_model(120, 5)", pinned_waterwise, Pricing::Dantzig,
+     {{710, 9, 547, 0x4048404bd30f6114}, {14, 5, 5, 0x4049259f8bc7d0d2}},
+     {{710, 548, 0, 0x4048404bd30f6114}, {14, 10, 0, 0x4049259f8bc7d0d2}}},
+    {"hard_chunk_model(150, 8, 0.4)", pinned_hard, Pricing::Devex,
+     {{749, 9, 529, 0x405070431a6730b0}, {23, 6, 12, 0x4050e1fa4a388ab4}},
+     {{1094, 904, 0, 0x405070431a6730b0}, {20, 15, 0, 0x4050e1fa4a388ab4}}},
+    {"hard_chunk_model(150, 8, 0.4)", pinned_hard, Pricing::Dantzig,
+     {{1094, 15, 903, 0x405070431a6730b0}, {20, 6, 9, 0x4050e1fa4a388ab4}},
+     {{1094, 904, 0, 0x405070431a6730b0}, {20, 15, 0, 0x4050e1fa4a388ab4}}},
+    {"soft_chunk_model(60, 6)", pinned_soft, Pricing::Devex,
+     {{476, 7, 413, 0x404fe65e16b14d43}, {18, 6, 7, 0x4050ef948686bd63}},
+     {{524, 465, 0, 0x404fe65e16b14d43}, {22, 17, 0, 0x4050ef948686bd62}}},
+    {"soft_chunk_model(60, 6)", pinned_soft, Pricing::Dantzig,
+     {{514, 8, 453, 0x404fe65e16b14d43}, {26, 6, 15, 0x4050ef948686bd63}},
+     {{524, 465, 0, 0x404fe65e16b14d43}, {22, 17, 0, 0x4050ef948686bd62}}},
+    {"weak_relaxation_model(20, 4, 6.0)", pinned_weak, Pricing::Devex,
+     {{74, 2, 66, 0x407d5845a315157e}, {12, 4, 5, 0x408411750692f6cd}},
+     {{80, 73, 0, 0x407d5845a315157e}, {12, 9, 0, 0x408411750692f6cd}}},
+    {"weak_relaxation_model(20, 4, 6.0)", pinned_weak, Pricing::Dantzig,
+     {{82, 2, 74, 0x407d5845a315157c}, {12, 4, 5, 0x408411750692f6cd}},
+     {{80, 73, 0, 0x407d5845a315157e}, {12, 9, 0, 0x408411750692f6cd}}},
+    {"tied-cost assignment", pinned_tied, Pricing::Devex,
+     {{94, 2, 70, 0x4038000000000000}, {12, 4, 5, 0x403b800000000000}},
+     {{125, 117, 0, 0x4038000000000000}, {13, 10, 0, 0x403b800000000000}}},
+    {"tied-cost assignment", pinned_tied, Pricing::Dantzig,
+     {{125, 4, 116, 0x4038000000000000}, {13, 4, 6, 0x403b800000000000}},
+     {{125, 117, 0, 0x4038000000000000}, {13, 10, 0, 0x403b800000000000}}},
+};
+// clang-format on
+
+TEST(PricingWork, CountersAndObjectiveBitsArePinned) {
+  // Under WW_REFACTOR_EVERY_PIVOT the budget-64 solves refactorize after
+  // every pivot too, so they must match the every-pivot record.
+  const bool forced = refactor_every_pivot_forced();
+  for (const PinnedCase& c : kPinned) {
+    const Model m = c.build();
+    for (const int budget : {64, 0}) {
+      const PinnedWork& want = (budget == 0 || forced) ? c.every_pivot : c.ft;
+      const PinnedWork got = pinned_work(m, c.pricing, budget);
+      const auto where = [&] {
+        return ::testing::Message()
+               << c.name << " "
+               << (c.pricing == Pricing::Devex ? "Devex" : "Dantzig")
+               << " update_budget " << budget;
+      };
+      EXPECT_EQ(got.cold, want.cold) << where() << " cold";
+      EXPECT_EQ(got.warm, want.warm) << where() << " warm";
+    }
   }
 }
 
