@@ -66,7 +66,7 @@ int main() {
     dc::CampaignResult base, ww;
   };
   std::vector<Row> rows(cases.size());
-  util::global_parallel_for(0, cases.size() * 2, [&](std::size_t k) {
+  util::global_parallel_for(bench::bench_jobs(), cases.size() * 2, [&](std::size_t k) {
     const std::size_t i = k / 2;
     if (k % 2 == 0) {
       bench::CampaignSpec base_spec = cases[i].spec;

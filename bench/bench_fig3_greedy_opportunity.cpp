@@ -17,7 +17,7 @@ int main() {
     dc::CampaignResult base, carbon, water;
   };
   std::vector<Row> rows(tolerances.size());
-  util::global_parallel_for(0, tolerances.size(), [&](std::size_t i) {
+  util::global_parallel_for(bench::bench_jobs(), tolerances.size(), [&](std::size_t i) {
     bench::CampaignSpec spec;
     spec.tol = tolerances[i];
     rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, spec);

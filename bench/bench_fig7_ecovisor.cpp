@@ -17,7 +17,7 @@ int main() {
     dc::CampaignResult base, eco, ww;
   };
   std::vector<Row> rows(datasets.size());
-  util::global_parallel_for(0, datasets.size() * 3, [&](std::size_t k) {
+  util::global_parallel_for(bench::bench_jobs(), datasets.size() * 3, [&](std::size_t k) {
     const std::size_t i = k / 3;
     bench::CampaignSpec spec;
     spec.tol = 0.5;

@@ -18,7 +18,7 @@ int main() {
     dc::CampaignResult base, carbon, water, ww;
   };
   std::vector<Row> rows(tolerances.size());
-  util::global_parallel_for(0, tolerances.size() * 4, [&](std::size_t k) {
+  util::global_parallel_for(bench::bench_jobs(), tolerances.size() * 4, [&](std::size_t k) {
     const std::size_t i = k / 4;
     bench::CampaignSpec spec;
     spec.tol = tolerances[i];

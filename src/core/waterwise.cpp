@@ -100,9 +100,9 @@ void WaterWiseScheduler::register_metrics() {
   // Wall-clock sums inside milp::solve (presolve included in solve).
   handles_.presolve_seconds = r.gauge("sched.presolve_seconds");
   handles_.solve_seconds = r.gauge("sched.solve_seconds");
-  // Service-level distributions (ROADMAP item 4).  decision_latency is
-  // wall-clock and observational; queue_depth and time_to_admission are
-  // sim-time/count based and byte-deterministic.
+  // Service-level distributions.  decision_latency is wall-clock and
+  // observational; queue_depth and time_to_admission are sim-time/count
+  // based and byte-deterministic.
   handles_.decision_latency_s =
       r.histogram("service.decision_latency_s", 0.0, 2.0, 80);
   handles_.queue_depth = r.histogram("service.queue_depth", 0.0, 2048.0, 64);
@@ -435,11 +435,6 @@ milp::Solution WaterWiseScheduler::run_model(const ChunkPlan& plan,
   }
 
   milp::SolverOptions options = config_.solver;
-  // Scheduler-path solver budgets are node/iteration counts only — a
-  // wall-clock cap would make the decision stream depend on machine speed
-  // and thread contention, breaking the byte-identity contract.
-  // det-ok: neutralizes the wall-clock limit; budgets are deterministic
-  options.time_limit_seconds = std::numeric_limits<double>::infinity();
   if (budget_scale > 1) {
     // Retry rung: relax the deterministic budgets (saturating multiply).
     const long cap = std::numeric_limits<long>::max();

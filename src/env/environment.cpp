@@ -114,10 +114,6 @@ double Environment::electricity_price(int r, double t) const {
          (1.0 + swing);
 }
 
-double Environment::mix_share(int r, EnergySource s, double t) const {
-  return regions_.at(static_cast<std::size_t>(r)).mix->share(s, t);
-}
-
 double Environment::transfer_latency_seconds(int from, int to,
                                              double bytes) const {
   return transfer_->latency_seconds(from, to, bytes);
@@ -125,10 +121,6 @@ double Environment::transfer_latency_seconds(int from, int to,
 
 double Environment::transfer_energy_kwh(int from, int to, double bytes) const {
   return transfer_->energy_kwh(from, to, bytes);
-}
-
-double Environment::transfer_distance_km(int from, int to) const {
-  return transfer_->distance_km(from, to);
 }
 
 int Environment::total_servers() const noexcept {

@@ -94,14 +94,10 @@ class Environment {
   /// the region's base tariff with a +-25% peak/off-peak swing.
   [[nodiscard]] double electricity_price(int r, double t) const;
 
-  /// Generation share of a source in region r at time t.
-  [[nodiscard]] double mix_share(int r, EnergySource s, double t) const;
-
   [[nodiscard]] double transfer_latency_seconds(int from, int to,
                                                 double bytes) const;
   [[nodiscard]] double transfer_energy_kwh(int from, int to,
                                            double bytes) const;
-  [[nodiscard]] double transfer_distance_km(int from, int to) const;
 
   [[nodiscard]] const EnvironmentConfig& config() const noexcept {
     return config_;

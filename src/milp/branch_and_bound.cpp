@@ -106,7 +106,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
   bool incumbent_is_seed = false;
   if (seed != nullptr && seed->has_incumbent &&
       static_cast<int>(seed->values.size()) == n &&
-      model_.max_violation(seed->values) <= options_.feasibility_tolerance) {
+      model_.max_violation(seed->values) <= kFeasibilityTolerance) {
     // MILP feasibility also demands integrality, which max_violation does
     // not check — a fractional (e.g. LP-relaxation) "seed" must be ignored
     // or it would prune the subtree holding the true integral optimum.
@@ -114,7 +114,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
     for (int j = 0; j < n && integral; ++j) {
       if (!is_int[static_cast<std::size_t>(j)]) continue;
       const double v = seed->values[static_cast<std::size_t>(j)];
-      integral = std::abs(v - std::round(v)) <= options_.integrality_tolerance;
+      integral = std::abs(v - std::round(v)) <= kIntegralityTolerance;
     }
     if (integral) {
       best = *seed;
@@ -133,7 +133,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
   long total_refactor = 0;
   long total_updates = 0;
   long next_seq = 0;
-  bool limits_hit = false;        ///< Node/time budget exhausted.
+  bool limits_hit = false;        ///< Node budget exhausted.
   bool subtree_dropped = false;   ///< A node LP hit its iteration limit.
   double root_bound = kNegInf;
   /// Bounds of nodes we could not resolve (limits); folded into best_bound
@@ -191,8 +191,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
       break;
     }
 
-    if (nodes >= options_.max_nodes ||
-        watch.elapsed_seconds() > options_.time_limit_seconds) {
+    if (nodes >= options_.max_nodes) {
       // Budget exhausted: fold the in-hand node and every open node into
       // the unresolved bound in one pass (the limit can't un-trip, so
       // popping them through the heap would be pure teardown cost).
@@ -205,9 +204,8 @@ Solution BranchAndBound::solve(const Solution* seed) {
     }
     const double prune_margin =
         incumbent_is_seed
-            ? options_.mip_gap_abs
-            : std::max(options_.mip_gap_abs,
-                       options_.mip_gap_rel * std::abs(incumbent));
+            ? kMipGapAbs
+            : std::max(kMipGapAbs, options_.mip_gap_rel * std::abs(incumbent));
     if (node.bound >= incumbent - prune_margin) {
       // Pruned.  When this node came off the best-first heap, its bound is
       // the minimum of the open set and the incumbent only improves, so
@@ -281,7 +279,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
       const double v = relax.values[ju];
       const double f_down = v - std::floor(v);
       const double frac = std::min(f_down, 1.0 - f_down);
-      if (frac <= options_.integrality_tolerance) continue;
+      if (frac <= kIntegralityTolerance) continue;
       const double down_est =
           pseudo[ju].down_n
               ? pseudo[ju].down_sum / static_cast<double>(pseudo[ju].down_n)
@@ -415,7 +413,7 @@ Solution solve_impl(const Model& model, SolverOptions options,
   // callers cannot tell the difference from a raw solve.
   options.presolve = false;
   Presolve pre;
-  if (pre.run(model, options) == Presolve::Result::Infeasible) {
+  if (pre.run(model) == Presolve::Result::Infeasible) {
     Solution sol;
     sol.status = Status::Infeasible;
     pre.postsolve(model, sol);  // annotates counters and presolve time
@@ -455,8 +453,7 @@ Solution solve_impl(const Model& model, SolverOptions options,
     const Solution* sp = nullptr;
     std::vector<double> vals;
     if (seed != nullptr && seed->has_incumbent &&
-        pre.reduce_point(seed->values, &vals,
-                         options.feasibility_tolerance)) {
+        pre.reduce_point(seed->values, &vals)) {
       red_seed = Solution::incumbent_from_heuristic(red, std::move(vals));
       sp = &red_seed;
     }

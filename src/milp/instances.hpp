@@ -26,19 +26,19 @@ inline Model waterwise_shaped_model(int jobs, int regions,
   for (int j = 0; j < jobs; ++j)
     for (int r = 0; r < regions; ++r)
       x[static_cast<std::size_t>(j * regions + r)] =
-          m.add_binary("x", rng.uniform(0.1, 2.0));
+          m.add_binary(rng.uniform(0.1, 2.0));
   for (int j = 0; j < jobs; ++j) {
     std::vector<Term> t;
     for (int r = 0; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
-    (void)m.add_constraint("a", std::move(t), Sense::Equal, 1.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
   }
   for (int r = 0; r < regions; ++r) {
     std::vector<Term> t;
     for (int j = 0; j < jobs; ++j)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
     (void)m.add_constraint(
-        "c", std::move(t), Sense::LessEqual,
+        std::move(t), Sense::LessEqual,
         std::ceil(jobs / static_cast<double>(regions)) + 1.0);
   }
   for (int j = 0; j < jobs; ++j) {
@@ -46,7 +46,7 @@ inline Model waterwise_shaped_model(int jobs, int regions,
     for (int r = 1; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)],
                    rng.uniform(1.0, 20.0)});
-    (void)m.add_constraint("d", std::move(t), Sense::LessEqual, 25.0);
+    (void)m.add_constraint(std::move(t), Sense::LessEqual, 25.0);
   }
   return m;
 }
@@ -67,7 +67,7 @@ inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,
   for (int j = 0; j < jobs; ++j)
     for (int r = 0; r < regions; ++r)
       x[static_cast<std::size_t>(j * regions + r)] =
-          m.add_binary("x", rng.uniform(0.1, 2.0));
+          m.add_binary(rng.uniform(0.1, 2.0));
   for (int j = 0; j < jobs; ++j)
     for (int r = 1; r < regions; ++r)
       if (rng.bernoulli(fixed_fraction))
@@ -77,14 +77,14 @@ inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,
     std::vector<Term> t;
     for (int r = 0; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
-    (void)m.add_constraint("a", std::move(t), Sense::Equal, 1.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
   }
   for (int r = 0; r < regions; ++r) {
     std::vector<Term> t;
     for (int j = 0; j < jobs; ++j)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
     (void)m.add_constraint(
-        "c", std::move(t), Sense::LessEqual,
+        std::move(t), Sense::LessEqual,
         std::ceil(jobs / static_cast<double>(regions)) + 1.0);
   }
   return m;
@@ -104,19 +104,19 @@ inline Model soft_chunk_model(int jobs, int regions, std::uint64_t seed = 13) {
   for (int j = 0; j < jobs; ++j)
     for (int r = 0; r < regions; ++r)
       x[static_cast<std::size_t>(j * regions + r)] =
-          m.add_binary("x", rng.uniform(0.1, 2.0));
+          m.add_binary(rng.uniform(0.1, 2.0));
   for (int j = 0; j < jobs; ++j) {
     std::vector<Term> t;
     for (int r = 0; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
-    (void)m.add_constraint("a", std::move(t), Sense::Equal, 1.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
   }
   for (int r = 0; r < regions; ++r) {
     std::vector<Term> t;
     for (int j = 0; j < jobs; ++j)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
     (void)m.add_constraint(
-        "c", std::move(t), Sense::LessEqual,
+        std::move(t), Sense::LessEqual,
         std::ceil(jobs / static_cast<double>(regions)) + 1.0);
   }
   for (int j = 0; j < jobs; ++j) {
@@ -124,9 +124,8 @@ inline Model soft_chunk_model(int jobs, int regions, std::uint64_t seed = 13) {
     for (int r = 1; r < regions; ++r) {
       const double exceedance = rng.uniform(1.0, 20.0) - allowance;
       if (exceedance <= 0.0) continue;
-      const int p = m.add_continuous("p", 0.0, kInfinity, 0.5);
+      const int p = m.add_continuous(0.0, kInfinity, 0.5);
       (void)m.add_constraint(
-          "soft",
           {{x[static_cast<std::size_t>(j * regions + r)], exceedance},
            {p, -1.0}},
           Sense::LessEqual, 0.0);
@@ -148,25 +147,25 @@ inline Model weak_relaxation_model(int jobs, int regions, double cap,
   for (int j = 0; j < jobs; ++j)
     for (int r = 0; r < regions; ++r)
       x[static_cast<std::size_t>(j * regions + r)] =
-          m.add_binary("x", rng.uniform(0.2, 1.0));
+          m.add_binary(rng.uniform(0.2, 1.0));
   for (int j = 0; j < jobs; ++j) {
     std::vector<Term> t;
     for (int r = 0; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
-    (void)m.add_constraint("a", std::move(t), Sense::Equal, 1.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
     std::vector<Term> d;
     for (int r = 1; r < regions; ++r)
       d.push_back({x[static_cast<std::size_t>(j * regions + r)],
                    rng.uniform(50.0, 400.0)});
-    const int p = m.add_continuous("p", 0.0, kInfinity, 0.5);
+    const int p = m.add_continuous(0.0, kInfinity, 0.5);
     d.push_back({p, -1.0});
-    (void)m.add_constraint("soft", std::move(d), Sense::LessEqual, 20.0);
+    (void)m.add_constraint(std::move(d), Sense::LessEqual, 20.0);
   }
   for (int r = 0; r < regions; ++r) {
     std::vector<Term> t;
     for (int j = 0; j < jobs; ++j)
       t.push_back({x[static_cast<std::size_t>(j * regions + r)], 1.0});
-    (void)m.add_constraint("c", std::move(t), Sense::LessEqual, cap);
+    (void)m.add_constraint(std::move(t), Sense::LessEqual, cap);
   }
   return m;
 }

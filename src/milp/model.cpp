@@ -3,46 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace ww::milp {
 
-int Model::add_variable(std::string name, double lower, double upper,
-                        VarType type, double objective) {
+int Model::add_variable(double lower, double upper, VarType type,
+                        double objective) {
   if (type == VarType::Binary) {
     lower = 0.0;
     upper = 1.0;
   }
   if (lower > upper)
-    throw std::invalid_argument(
-        "Model: variable '" +
-        (name.empty() ? "x" + std::to_string(variables_.size()) : name) +
-        "' has lower > upper");
-  variables_.push_back(
-      Variable{std::move(name), lower, upper, type, objective});
+    throw std::invalid_argument("Model: variable x" +
+                                std::to_string(variables_.size()) +
+                                " has lower > upper");
+  variables_.push_back(Variable{lower, upper, type, objective});
   return static_cast<int>(variables_.size()) - 1;
 }
 
 void Model::reserve(int variables, int constraints) {
   variables_.reserve(static_cast<std::size_t>(std::max(variables, 0)));
   constraints_.reserve(static_cast<std::size_t>(std::max(constraints, 0)));
-}
-
-int Model::add_continuous(std::string name, double lower, double upper,
-                          double objective) {
-  return add_variable(std::move(name), lower, upper, VarType::Continuous,
-                      objective);
-}
-
-int Model::add_binary(std::string name, double objective) {
-  return add_variable(std::move(name), 0.0, 1.0, VarType::Binary, objective);
-}
-
-void Model::set_objective_coefficient(int var, double coeff) {
-  variables_.at(static_cast<std::size_t>(var)).objective = coeff;
-}
-
-void Model::add_objective_coefficient(int var, double delta) {
-  variables_.at(static_cast<std::size_t>(var)).objective += delta;
 }
 
 void Model::set_variable_bounds(int var, double lower, double upper) {
@@ -53,14 +34,12 @@ void Model::set_variable_bounds(int var, double lower, double upper) {
   v.upper = upper;
 }
 
-int Model::add_constraint(std::string name, std::vector<Term> terms,
-                          Sense sense, double rhs) {
+int Model::add_constraint(std::vector<Term> terms, Sense sense, double rhs) {
   for (const Term& t : terms)
     if (t.var < 0 || t.var >= num_variables())
-      throw std::out_of_range(
-          "Model: constraint '" +
-          (name.empty() ? "c" + std::to_string(constraints_.size()) : name) +
-          "' references unknown variable");
+      throw std::out_of_range("Model: constraint c" +
+                              std::to_string(constraints_.size()) +
+                              " references unknown variable");
   // Merge duplicate variables and drop exact zeros.  A stable sort keeps
   // each variable's terms in input order, so the fold below sums them in
   // that order.  Rows built in variable order skip the sort altogether.
@@ -77,19 +56,8 @@ int Model::add_constraint(std::string name, std::vector<Term> terms,
     if (merged.coeff != 0.0) terms[kept++] = merged;
   }
   terms.resize(kept);
-  constraints_.push_back(
-      Constraint{std::move(name), std::move(terms), sense, rhs});
+  constraints_.push_back(Constraint{std::move(terms), sense, rhs});
   return static_cast<int>(constraints_.size()) - 1;
-}
-
-std::string Model::variable_name(int i) const {
-  const auto& stored = variables_.at(static_cast<std::size_t>(i)).name;
-  return stored.empty() ? "x" + std::to_string(i) : stored;
-}
-
-std::string Model::constraint_name(int i) const {
-  const auto& stored = constraints_.at(static_cast<std::size_t>(i)).name;
-  return stored.empty() ? "c" + std::to_string(i) : stored;
 }
 
 bool Model::has_integer_variables() const noexcept {

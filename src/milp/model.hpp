@@ -7,7 +7,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ww::milp {
@@ -24,7 +23,6 @@ struct Term {
 };
 
 struct Variable {
-  std::string name;
   double lower = 0.0;
   double upper = kInfinity;
   VarType type = VarType::Continuous;
@@ -32,7 +30,6 @@ struct Variable {
 };
 
 struct Constraint {
-  std::string name;
   std::vector<Term> terms;
   Sense sense = Sense::LessEqual;
   double rhs = 0.0;
@@ -41,44 +38,26 @@ struct Constraint {
 class Model {
  public:
   /// Returns the new variable's index.  Binary forces bounds to [0, 1].
-  /// Names are optional debug metadata: the unnamed overloads store an
-  /// empty string (no heap traffic on the model-build hot path) and
-  /// variable_name()/constraint_name() synthesize an "x<i>"/"c<i>" label
-  /// on demand for printing and error messages.
-  int add_variable(std::string name, double lower, double upper,
-                   VarType type = VarType::Continuous, double objective = 0.0);
   int add_variable(double lower, double upper,
-                   VarType type = VarType::Continuous, double objective = 0.0) {
-    return add_variable(std::string(), lower, upper, type, objective);
-  }
-  int add_continuous(std::string name, double lower, double upper,
-                     double objective = 0.0);
+                   VarType type = VarType::Continuous, double objective = 0.0);
   int add_continuous(double lower, double upper, double objective = 0.0) {
-    return add_continuous(std::string(), lower, upper, objective);
+    return add_variable(lower, upper, VarType::Continuous, objective);
   }
-  int add_binary(std::string name, double objective = 0.0);
   int add_binary(double objective = 0.0) {
-    return add_binary(std::string(), objective);
+    return add_variable(0.0, 1.0, VarType::Binary, objective);
   }
 
   /// Pre-sizes the variable/constraint vectors so chunked model builds
   /// (thousands of columns per scheduling window) do not reallocate.
   void reserve(int variables, int constraints);
 
-  void set_objective_coefficient(int var, double coeff);
-  /// Adds `delta` to the variable's current objective coefficient.
-  void add_objective_coefficient(int var, double delta);
   /// Tightens/replaces a variable's bounds (e.g. fixing a binary to 0).
   void set_variable_bounds(int var, double lower, double upper);
 
   /// Returns the new constraint's index.  Duplicate variables within `terms`
   /// are merged (summed in input order), exact zeros are dropped, and the
   /// row is stored sorted by variable.
-  int add_constraint(std::string name, std::vector<Term> terms, Sense sense,
-                     double rhs);
-  int add_constraint(std::vector<Term> terms, Sense sense, double rhs) {
-    return add_constraint(std::string(), std::move(terms), sense, rhs);
-  }
+  int add_constraint(std::vector<Term> terms, Sense sense, double rhs);
 
   [[nodiscard]] int num_variables() const noexcept {
     return static_cast<int>(variables_.size());
@@ -98,11 +77,6 @@ class Model {
   [[nodiscard]] const std::vector<Constraint>& constraints() const noexcept {
     return constraints_;
   }
-
-  /// Stored name, or a synthesized "x<i>" / "c<i>" label when the entity
-  /// was added through an unnamed overload.
-  [[nodiscard]] std::string variable_name(int i) const;
-  [[nodiscard]] std::string constraint_name(int i) const;
 
   [[nodiscard]] bool has_integer_variables() const noexcept;
 

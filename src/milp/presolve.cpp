@@ -57,8 +57,8 @@ bool Presolve::apply_bound(int j, double value, bool is_upper,
   // tolerance keeps floating-point drift (2.9999999996) from cutting off a
   // genuinely feasible integer.
   if (is_int_[ju])
-    value = is_upper ? std::floor(value + int_tol_)
-                     : std::ceil(value - int_tol_);
+    value = is_upper ? std::floor(value + kIntegralityTolerance)
+                     : std::ceil(value - kIntegralityTolerance);
   *tightened = false;
   if (is_upper) {
     if (value < ub_[ju]) {
@@ -71,15 +71,12 @@ bool Presolve::apply_bound(int j, double value, bool is_upper,
       *tightened = true;
     }
   }
-  return lb_[ju] <= ub_[ju] + feas_tol_;
+  return lb_[ju] <= ub_[ju] + kFeasibilityTolerance;
 }
 
-Presolve::Result Presolve::run(const Model& model,
-                               const SolverOptions& options) {
+Presolve::Result Presolve::run(const Model& model) {
   obs::Span span("milp.presolve");
   const util::Stopwatch watch;
-  feas_tol_ = options.feasibility_tolerance;
-  int_tol_ = options.integrality_tolerance;
   n_ = model.num_variables();
   m_ = model.num_constraints();
   const auto nu = static_cast<std::size_t>(n_);
@@ -138,8 +135,8 @@ Presolve::Result Presolve::run(const Model& model,
   for (int j = 0; j < n_; ++j) {
     const auto ju = static_cast<std::size_t>(j);
     if (!is_int_[ju]) continue;
-    const double nl = std::ceil(lb_[ju] - int_tol_);
-    const double nh = std::floor(ub_[ju] + int_tol_);
+    const double nl = std::ceil(lb_[ju] - kIntegralityTolerance);
+    const double nh = std::floor(ub_[ju] + kIntegralityTolerance);
     if (nl > lb_[ju]) {
       lb_[ju] = nl;
       ++stats_.bounds_tightened;
@@ -148,7 +145,8 @@ Presolve::Result Presolve::run(const Model& model,
       ub_[ju] = nh;
       ++stats_.bounds_tightened;
     }
-    if (lb_[ju] > ub_[ju] + feas_tol_) return done(Result::Infeasible);
+    if (lb_[ju] > ub_[ju] + kFeasibilityTolerance)
+      return done(Result::Infeasible);
   }
 
   // Scratch reused across passes.
@@ -189,10 +187,10 @@ Presolve::Result Presolve::run(const Model& model,
         // 0 (sense) rhs: either trivially true or a proof of infeasibility.
         const double rhs = row_rhs_[iu];
         const bool ok = row_sense_[iu] == Sense::LessEqual
-                            ? rhs >= -feas_tol_
+                            ? rhs >= -kFeasibilityTolerance
                             : (row_sense_[iu] == Sense::GreaterEqual
-                                   ? rhs <= feas_tol_
-                                   : std::abs(rhs) <= feas_tol_);
+                                   ? rhs <= kFeasibilityTolerance
+                                   : std::abs(rhs) <= kFeasibilityTolerance);
         if (!ok) return done(Result::Infeasible);
         row_alive_[iu] = 0;
         ++stats_.rows_removed;
@@ -297,15 +295,18 @@ Presolve::Result Presolve::run(const Model& model,
       bool redundant = false;
       switch (row_sense_[iu]) {
         case Sense::LessEqual:
-          if (min_act > rhs + feas_tol_) return done(Result::Infeasible);
+          if (min_act > rhs + kFeasibilityTolerance)
+            return done(Result::Infeasible);
           redundant = max_act <= rhs;
           break;
         case Sense::GreaterEqual:
-          if (max_act < rhs - feas_tol_) return done(Result::Infeasible);
+          if (max_act < rhs - kFeasibilityTolerance)
+            return done(Result::Infeasible);
           redundant = min_act >= rhs;
           break;
         case Sense::Equal:
-          if (min_act > rhs + feas_tol_ || max_act < rhs - feas_tol_)
+          if (min_act > rhs + kFeasibilityTolerance ||
+              max_act < rhs - kFeasibilityTolerance)
             return done(Result::Infeasible);
           redundant = min_act == rhs && max_act == rhs;
           break;
@@ -431,8 +432,8 @@ Presolve::Result Presolve::run(const Model& model,
       const double r2 = (row_rhs_[iu] - smax) / a;
       const double implied_lo = std::min(r1, r2);
       const double implied_hi = std::max(r1, r2);
-      if (!(implied_lo >= lb_[ju] - feas_tol_ &&
-            implied_hi <= ub_[ju] + feas_tol_))
+      if (!(implied_lo >= lb_[ju] - kFeasibilityTolerance &&
+            implied_hi <= ub_[ju] + kFeasibilityTolerance))
         continue;
 
       // Substitute x_j = (rhs - sum others)/a out of the objective; the
@@ -481,7 +482,7 @@ void Presolve::build_reduced(const Model& model) {
             ? VarType::Integer
             : v.type;
     col_map_[ju] =
-        reduced_.add_variable(v.name, lb_[ju], ub_[ju], type, cost_[ju]);
+        reduced_.add_variable(lb_[ju], ub_[ju], type, cost_[ju]);
   }
   std::vector<Term> terms;
   for (int i = 0; i < m_; ++i) {
@@ -500,22 +501,22 @@ void Presolve::build_reduced(const Model& model) {
       }
       terms.push_back(Term{col_map_[vu], term.coeff});
     }
-    row_map_[iu] = reduced_.add_constraint(model.constraint(i).name, terms,
-                                           row_sense_[iu], row_rhs_[iu]);
+    row_map_[iu] =
+        reduced_.add_constraint(terms, row_sense_[iu], row_rhs_[iu]);
   }
   stats_.seconds += watch.elapsed_seconds();
 }
 
 bool Presolve::reduce_point(const std::vector<double>& x,
-                            std::vector<double>* out,
-                            double tolerance) const {
+                            std::vector<double>* out) const {
   if (static_cast<int>(x.size()) != n_) return false;
   // A point that contradicts a presolve fixing cannot be represented in the
   // reduced space; substituted (free-singleton) columns need no check, the
   // row equation determines them.
   for (const Record& rec : records_) {
     if (rec.kind != Record::Kind::FixedCol) continue;
-    if (std::abs(x[static_cast<std::size_t>(rec.col)] - rec.value) > tolerance)
+    if (std::abs(x[static_cast<std::size_t>(rec.col)] - rec.value) >
+        kFeasibilityTolerance)
       return false;
   }
   out->assign(static_cast<std::size_t>(reduced_.num_variables()), 0.0);
@@ -614,7 +615,8 @@ void Presolve::postsolve(const Model& original, Solution& sol) const {
           }
           const auto cu = static_cast<std::size_t>(rec.col);
           if (!rec.tightened) break;  // original bound binds; dual stays 0
-          if (std::abs(x[cu] - rec.bound) > feas_tol_) break;  // not binding
+          // Not binding.
+          if (std::abs(x[cu] - rec.bound) > kFeasibilityTolerance) break;
           const double c = credit[cu];
           // The sign decides which side is binding: a positive credit holds
           // the variable down at a lower bound, a negative one up at an

@@ -57,12 +57,12 @@ class Presolve {
     Infeasible,  ///< A reduction proved the model infeasible.
   };
 
-  /// Runs the reduction fixpoint over `model`.  Tolerances come from
-  /// `options`; the model itself is not modified.  The reduced model is NOT
-  /// materialized here — callers inspect stats() first (a reduction that
-  /// removed nothing is cheaper to discard than to rebuild) and then call
-  /// build_reduced().
-  Result run(const Model& model, const SolverOptions& options);
+  /// Runs the reduction fixpoint over `model` with the fixed tolerances
+  /// of solution.hpp; the model itself is not modified.  The reduced model
+  /// is NOT materialized here — callers inspect stats() first (a reduction
+  /// that removed nothing is cheaper to discard than to rebuild) and then
+  /// call build_reduced().
+  Result run(const Model& model);
 
   /// Materializes the reduced model and the original->reduced index maps.
   /// Call after run() returned Reduced and the reductions are worth
@@ -81,11 +81,10 @@ class Presolve {
 
   /// Translates a full-space point (e.g. a heuristic seed incumbent) into
   /// the reduced space.  Returns false when the point contradicts a
-  /// presolve fixing by more than `tolerance` — the caller should then
-  /// solve unseeded.
+  /// presolve fixing by more than kFeasibilityTolerance — the caller
+  /// should then solve unseeded.
   [[nodiscard]] bool reduce_point(const std::vector<double>& x,
-                                  std::vector<double>* out,
-                                  double tolerance) const;
+                                  std::vector<double>* out) const;
 
   /// Maps a Solution of the reduced model back onto `original` in place:
   /// reconstructs values for every eliminated column, recovers duals and
@@ -138,8 +137,6 @@ class Presolve {
   std::vector<bool> col_alive_;
   std::vector<double> fixed_value_;
   double offset_ = 0.0;
-  double feas_tol_ = 1e-7;
-  double int_tol_ = 1e-6;
 
   std::vector<Record> records_;
   std::vector<int> col_map_;  ///< original col -> reduced col, -1 if gone.

@@ -170,8 +170,8 @@ void SimplexSolver::install_initial_basis() {
     const int sj = n_struct_ + i;
     const auto sju = static_cast<std::size_t>(sj);
     const double v = resid[iu];
-    if (v >= lb_[sju] - options_.feasibility_tolerance &&
-        v <= ub_[sju] + options_.feasibility_tolerance) {
+    if (v >= lb_[sju] - kFeasibilityTolerance &&
+        v <= ub_[sju] + kFeasibilityTolerance) {
       basis_[iu] = sj;
       state_[sju] = NonbasicState::Basic;
       continue;
@@ -325,7 +325,7 @@ bool SimplexSolver::eligible(std::size_t j, int& dir) const {
   const NonbasicState st = state_[j];
   if (st == NonbasicState::Basic) return false;
   if (lb_[j] == ub_[j]) return false;  // fixed column can never improve
-  const double tol = options_.pivot_tolerance;
+  const double tol = kPivotTolerance;
   const double dj = d_[j];
   if ((st == NonbasicState::AtLower || st == NonbasicState::AtZero) &&
       dj < -tol) {
@@ -479,7 +479,7 @@ void SimplexSolver::pivot(int entering, int pos, NonbasicState leave_state) {
 }
 
 SimplexSolver::LoopResult SimplexSolver::run_simplex([[maybe_unused]] bool phase1) {
-  const double tol = options_.pivot_tolerance;
+  const double tol = kPivotTolerance;
   const auto mu = static_cast<std::size_t>(m_);
 
   for (;;) {
@@ -562,8 +562,8 @@ SimplexSolver::LoopResult SimplexSolver::run_simplex([[maybe_unused]] bool phase
 }
 
 SimplexSolver::LoopResult SimplexSolver::run_dual_simplex() {
-  const double tol = options_.pivot_tolerance;
-  const double ftol = options_.feasibility_tolerance;
+  const double tol = kPivotTolerance;
+  const double ftol = kFeasibilityTolerance;
   const auto mu = static_cast<std::size_t>(m_);
 
   for (;;) {
@@ -737,7 +737,7 @@ Solution SimplexSolver::solve_with_bounds(const std::vector<double>& lower,
     throw std::invalid_argument("SimplexSolver: bound vector size mismatch");
   for (int j = 0; j < n_struct_; ++j) {
     if (lower[static_cast<std::size_t>(j)] >
-        upper[static_cast<std::size_t>(j)] + options_.feasibility_tolerance) {
+        upper[static_cast<std::size_t>(j)] + kFeasibilityTolerance) {
       sol.status = Status::Infeasible;
       sol.solve_seconds = watch.elapsed_seconds();
       return sol;

@@ -13,7 +13,7 @@ enum class Status {
   Infeasible,       ///< No feasible point exists.
   Unbounded,        ///< Objective unbounded below.
   IterationLimit,   ///< Simplex iteration limit hit.
-  NodeLimit,        ///< Branch-and-bound node/time limit; `values` holds the
+  NodeLimit,        ///< Branch-and-bound node limit; `values` holds the
                     ///< best incumbent if `has_incumbent`.
 };
 
@@ -94,16 +94,22 @@ enum class Pricing {
   Dantzig,  ///< Most-negative reduced cost (full scan of maintained costs).
 };
 
+/// Reduced-cost / pivot threshold.
+inline constexpr double kPivotTolerance = 1e-9;
+/// Bound/row violation acceptance.
+inline constexpr double kFeasibilityTolerance = 1e-7;
+/// |x - round(x)| accepted as integral for integer variables.
+inline constexpr double kIntegralityTolerance = 1e-6;
+/// Prune nodes within this of the incumbent (absolute gap).
+inline constexpr double kMipGapAbs = 1e-9;
+
+/// Solver budgets and switches.  Every budget is a node or iteration count,
+/// never wall-clock time, so a solve's answer does not depend on the host.
 struct SolverOptions {
-  double pivot_tolerance = 1e-9;       ///< Reduced-cost / pivot threshold.
-  double feasibility_tolerance = 1e-7; ///< Bound/row violation acceptance.
-  double integrality_tolerance = 1e-6; ///< |x - round(x)| for integer vars.
   long max_iterations = 200000;        ///< Simplex iterations per LP solve.
   long max_nodes = 200000;             ///< Branch-and-bound node budget.
-  double time_limit_seconds = 120.0;   ///< Wall-clock budget for the tree.
-  double mip_gap_abs = 1e-9;           ///< Prune nodes within this of the
-                                       ///< incumbent (absolute).
-  double mip_gap_rel = 1e-6;           ///< ... or within this fraction.
+  double mip_gap_rel = 1e-6;           ///< Prune nodes within this fraction
+                                       ///< of the incumbent (or kMipGapAbs).
   int refactor_interval = 100;         ///< Iteration cadence backstop for
                                        ///< refactorization (numeric hygiene
                                        ///< for xb / reduced-cost drift).
@@ -111,9 +117,8 @@ struct SolverOptions {
   /// refactorizations.  0 refactorizes after every pivot — the
   /// slow-but-simple ablation path (also reachable process-wide through
   /// the WW_REFACTOR_EVERY_PIVOT environment switch, which overrides
-  /// everything here).  Unlike the product-form eta file this replaced,
-  /// updates keep ftran/btran cost flat, so the budget is numeric hygiene
-  /// rather than a speed knob.
+  /// everything here).  Updates keep ftran/btran cost flat, so the budget
+  /// is numeric hygiene rather than a speed knob.
   int update_budget = 64;
   /// Refactorize when the factors' fill — U spikes plus row-eta nonzeros —
   /// grows past this multiple of the freshly factorized nonzero count

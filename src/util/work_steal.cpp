@@ -43,11 +43,6 @@ bool StealDeque::try_steal_top(std::function<void()>& out) {
   return true;
 }
 
-std::size_t StealDeque::size() const {
-  const std::lock_guard lock(mutex_);
-  return tasks_.size();
-}
-
 // --- WorkStealingPool -------------------------------------------------------
 
 WorkStealingPool& WorkStealingPool::global() {
@@ -201,6 +196,10 @@ void WorkStealingPool::parallel_for(
 
 void global_parallel_for(std::size_t threads, std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
+  if (threads == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   WorkStealingPool& pool = WorkStealingPool::global();
   pool.ensure_workers(WorkStealingPool::resolve_threads(threads));
   pool.parallel_for(n, fn);

@@ -46,8 +46,6 @@ class StealDeque {
   /// Thief side: steal the oldest task (FIFO). Returns false if empty.
   bool try_steal_top(std::function<void()>& out);
 
-  [[nodiscard]] std::size_t size() const;
-
  private:
   mutable std::mutex mutex_;
   std::deque<std::function<void()>> tasks_;
@@ -214,7 +212,9 @@ class WorkStealingPool {
 
 /// Shorthand: global().parallel_for(n, fn) after ensuring at least
 /// resolve_threads(threads) workers. `threads` follows the same convention
-/// as everywhere else (0 => hardware_concurrency).
+/// as everywhere else (0 => hardware_concurrency, 1 => serial: fn(0..n-1)
+/// runs inline on the calling thread, in index order, and the first
+/// exception propagates at once).
 void global_parallel_for(std::size_t threads, std::size_t n,
                          const std::function<void(std::size_t)>& fn);
 

@@ -10,10 +10,10 @@ TEST(BranchAndBound, KnapsackForcesBranching) {
   // fractional (a = 1, b = 4/7, value ~14.29); integer optimum is
   // {a, c} with value 14.
   Model m;
-  const int a = m.add_binary("a", -8.0);
-  const int b = m.add_binary("b", -11.0);
-  const int c = m.add_binary("c", -6.0);
-  (void)m.add_constraint("w", {{a, 5.0}, {b, 7.0}, {c, 4.0}},
+  const int a = m.add_binary(-8.0);
+  const int b = m.add_binary(-11.0);
+  const int c = m.add_binary(-6.0);
+  (void)m.add_constraint({{a, 5.0}, {b, 7.0}, {c, 4.0}},
                          Sense::LessEqual, 9.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
@@ -26,7 +26,7 @@ TEST(BranchAndBound, KnapsackForcesBranching) {
 
 TEST(BranchAndBound, PureLpPassthrough) {
   Model m;
-  (void)m.add_continuous("x", 0.0, 4.0, -1.0);
+  (void)m.add_continuous(0.0, 4.0, -1.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.objective, -4.0, 1e-9);
@@ -35,8 +35,8 @@ TEST(BranchAndBound, PureLpPassthrough) {
 TEST(BranchAndBound, GeneralIntegerVariable) {
   // min -x, x integer in [0, 10], 2x <= 9  =>  x = 4 (LP gives 4.5).
   Model m;
-  const int x = m.add_variable("x", 0.0, 10.0, VarType::Integer, -1.0);
-  (void)m.add_constraint("c", {{x, 2.0}}, Sense::LessEqual, 9.0);
+  const int x = m.add_variable(0.0, 10.0, VarType::Integer, -1.0);
+  (void)m.add_constraint({{x, 2.0}}, Sense::LessEqual, 9.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.values[0], 4.0, 1e-6);
@@ -45,9 +45,9 @@ TEST(BranchAndBound, GeneralIntegerVariable) {
 TEST(BranchAndBound, InfeasibleIntegerProblem) {
   // 0.4 <= x <= 0.6 with x binary: LP feasible, no integer point.
   Model m;
-  const int x = m.add_binary("x", 1.0);
-  (void)m.add_constraint("lo", {{x, 1.0}}, Sense::GreaterEqual, 0.4);
-  (void)m.add_constraint("hi", {{x, 1.0}}, Sense::LessEqual, 0.6);
+  const int x = m.add_binary(1.0);
+  (void)m.add_constraint({{x, 1.0}}, Sense::GreaterEqual, 0.4);
+  (void)m.add_constraint({{x, 1.0}}, Sense::LessEqual, 0.6);
   const Solution sol = solve(m);
   EXPECT_EQ(sol.status, Status::Infeasible);
   EXPECT_FALSE(sol.has_incumbent);
@@ -60,14 +60,12 @@ TEST(BranchAndBound, AssignmentProblemOptimal) {
   Model m;
   int v[3][3];
   for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 3; ++j) v[i][j] = m.add_binary("x", cost[i][j]);
+    for (int j = 0; j < 3; ++j) v[i][j] = m.add_binary(cost[i][j]);
   for (int i = 0; i < 3; ++i)
-    (void)m.add_constraint("row",
-                           {{v[i][0], 1.0}, {v[i][1], 1.0}, {v[i][2], 1.0}},
+    (void)m.add_constraint({{v[i][0], 1.0}, {v[i][1], 1.0}, {v[i][2], 1.0}},
                            Sense::Equal, 1.0);
   for (int j = 0; j < 3; ++j)
-    (void)m.add_constraint("col",
-                           {{v[0][j], 1.0}, {v[1][j], 1.0}, {v[2][j], 1.0}},
+    (void)m.add_constraint({{v[0][j], 1.0}, {v[1][j], 1.0}, {v[2][j], 1.0}},
                            Sense::Equal, 1.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
@@ -81,13 +79,13 @@ TEST(BranchAndBound, CapacitatedAssignmentLikeWaterWise) {
   const double cost[4][2] = {{1, 2}, {1, 3}, {1, 1.5}, {1, 5}};
   int x[4][2];
   for (int j = 0; j < 4; ++j)
-    for (int r = 0; r < 2; ++r) x[j][r] = m.add_binary("x", cost[j][r]);
+    for (int r = 0; r < 2; ++r) x[j][r] = m.add_binary(cost[j][r]);
   for (int j = 0; j < 4; ++j)
-    (void)m.add_constraint("assign", {{x[j][0], 1.0}, {x[j][1], 1.0}},
+    (void)m.add_constraint({{x[j][0], 1.0}, {x[j][1], 1.0}},
                            Sense::Equal, 1.0);
   for (int r = 0; r < 2; ++r)
     (void)m.add_constraint(
-        "cap", {{x[0][r], 1.0}, {x[1][r], 1.0}, {x[2][r], 1.0}, {x[3][r], 1.0}},
+        {{x[0][r], 1.0}, {x[1][r], 1.0}, {x[2][r], 1.0}, {x[3][r], 1.0}},
         Sense::LessEqual, 2.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
@@ -100,9 +98,9 @@ TEST(BranchAndBound, MixedIntegerContinuous) {
   // min -y - 0.5 x with y binary, x continuous <= 3.7, x <= 10 y
   // => y = 1, x = 3.7, obj -2.85.
   Model m;
-  const int y = m.add_binary("y", -1.0);
-  const int x = m.add_continuous("x", 0.0, 3.7, -0.5);
-  (void)m.add_constraint("link", {{x, 1.0}, {y, -10.0}}, Sense::LessEqual, 0.0);
+  const int y = m.add_binary(-1.0);
+  const int x = m.add_continuous(0.0, 3.7, -0.5);
+  (void)m.add_constraint({{x, 1.0}, {y, -10.0}}, Sense::LessEqual, 0.0);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.objective, -2.85, 1e-8);
@@ -115,11 +113,11 @@ TEST(BranchAndBound, NodeLimitReturnsIncumbentWhenFound) {
   std::vector<int> vars;
   std::vector<Term> row;
   for (int i = 0; i < 12; ++i) {
-    const int v = m.add_binary("v", -(1.0 + 0.1 * i));
+    const int v = m.add_binary(-(1.0 + 0.1 * i));
     vars.push_back(v);
     row.push_back({v, 1.0 + 0.07 * (i % 5)});
   }
-  (void)m.add_constraint("w", row, Sense::LessEqual, 6.0);
+  (void)m.add_constraint(row, Sense::LessEqual, 6.0);
   SolverOptions opts;
   opts.max_nodes = 3;  // force an early stop
   const Solution sol = solve(m, opts);
@@ -147,10 +145,10 @@ TEST(BranchAndBound, LargerKnapsackMatchesDp) {
   Model m;
   std::vector<Term> row;
   for (std::size_t i = 0; i < value.size(); ++i) {
-    const int v = m.add_binary("v", -value[i]);
+    const int v = m.add_binary(-value[i]);
     row.push_back({v, static_cast<double>(weight[i])});
   }
-  (void)m.add_constraint("w", row, Sense::LessEqual, static_cast<double>(cap));
+  (void)m.add_constraint(row, Sense::LessEqual, static_cast<double>(cap));
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(-sol.objective, best, 1e-7);

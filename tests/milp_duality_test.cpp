@@ -16,11 +16,11 @@ TEST(Duality, TextbookDuals) {
   // min -3x - 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18.
   // Optimal (2, 6); binding rows 2 and 3 with duals (0, -3/2, -1).
   Model m;
-  const int x = m.add_continuous("x", 0.0, kInfinity, -3.0);
-  const int y = m.add_continuous("y", 0.0, kInfinity, -5.0);
-  (void)m.add_constraint("c1", {{x, 1.0}}, Sense::LessEqual, 4.0);
-  (void)m.add_constraint("c2", {{y, 2.0}}, Sense::LessEqual, 12.0);
-  (void)m.add_constraint("c3", {{x, 3.0}, {y, 2.0}}, Sense::LessEqual, 18.0);
+  const int x = m.add_continuous(0.0, kInfinity, -3.0);
+  const int y = m.add_continuous(0.0, kInfinity, -5.0);
+  (void)m.add_constraint({{x, 1.0}}, Sense::LessEqual, 4.0);
+  (void)m.add_constraint({{y, 2.0}}, Sense::LessEqual, 12.0);
+  (void)m.add_constraint({{x, 3.0}, {y, 2.0}}, Sense::LessEqual, 18.0);
   SimplexSolver s(m);
   const Solution sol = s.solve();
   ASSERT_EQ(sol.status, Status::Optimal);
@@ -38,10 +38,10 @@ TEST(Duality, TextbookDuals) {
 TEST(Duality, ReducedCostSignsAtBounds) {
   // min x1 + 2 x2 - x3, all in [0, 2], x1 + x2 + x3 >= 1.
   Model m;
-  (void)m.add_continuous("x1", 0.0, 2.0, 1.0);
-  (void)m.add_continuous("x2", 0.0, 2.0, 2.0);
-  (void)m.add_continuous("x3", 0.0, 2.0, -1.0);
-  (void)m.add_constraint("c", {{0, 1.0}, {1, 1.0}, {2, 1.0}},
+  (void)m.add_continuous(0.0, 2.0, 1.0);
+  (void)m.add_continuous(0.0, 2.0, 2.0);
+  (void)m.add_continuous(0.0, 2.0, -1.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}},
                          Sense::GreaterEqual, 1.0);
   SimplexSolver s(m);
   const Solution sol = s.solve();
@@ -66,7 +66,7 @@ TEST_P(DualityProperty, LagrangianIdentityAndSigns) {
   for (int j = 0; j < n; ++j) {
     const double lo = rng.uniform(-2.0, 0.0);
     const double hi = lo + rng.uniform(0.5, 4.0);
-    (void)m.add_continuous("x", lo, hi, rng.uniform(-2.0, 2.0));
+    (void)m.add_continuous(lo, hi, rng.uniform(-2.0, 2.0));
     witness.push_back(lo + 0.5 * (hi - lo));
   }
   for (int i = 0; i < rows; ++i) {
@@ -79,7 +79,7 @@ TEST_P(DualityProperty, LagrangianIdentityAndSigns) {
       lhs += c * witness[static_cast<std::size_t>(j)];
     }
     if (terms.empty()) terms.push_back({0, 1.0}), lhs = witness[0];
-    (void)m.add_constraint("r", std::move(terms), Sense::LessEqual,
+    (void)m.add_constraint(std::move(terms), Sense::LessEqual,
                            lhs + rng.uniform(0.05, 2.0));
   }
 

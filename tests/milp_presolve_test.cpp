@@ -62,10 +62,10 @@ TEST(Presolve, RoundTripEquivalenceAcrossCorpus) {
 TEST(Presolve, SingletonRowBecomesBound) {
   // min -x: the 2x <= 8 singleton row is the only thing keeping x off 10.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, -1.0);
-  (void)m.add_constraint("s", {{0, 2.0}}, Sense::LessEqual, 8.0);
+  (void)m.add_continuous(0.0, 10.0, -1.0);
+  (void)m.add_constraint({{0, 2.0}}, Sense::LessEqual, 8.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   EXPECT_EQ(pre.stats().rows_removed, 1);
   pre.build_reduced(m);
   ASSERT_EQ(pre.reduced().num_constraints(), 0);
@@ -86,13 +86,13 @@ TEST(Presolve, SingletonRowBecomesBound) {
 TEST(Presolve, EqualitySingletonFixesVariable) {
   // 3x == 6 fixes x = 2; the other row then loses the term.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, 1.0);
-  (void)m.add_continuous("y", 0.0, 10.0, 1.0);
-  (void)m.add_constraint("fix", {{0, 3.0}}, Sense::Equal, 6.0);
-  (void)m.add_constraint("link", {{0, 1.0}, {1, 1.0}}, Sense::GreaterEqual,
+  (void)m.add_continuous(0.0, 10.0, 1.0);
+  (void)m.add_continuous(0.0, 10.0, 1.0);
+  (void)m.add_constraint({{0, 3.0}}, Sense::Equal, 6.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::GreaterEqual,
                          5.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   EXPECT_EQ(pre.stats().cols_removed, 1);
   pre.build_reduced(m);
   // The link row survives as a singleton-derived bound on y (y >= 3), so
@@ -117,9 +117,9 @@ TEST(Presolve, TwoEqualitySingletonsOnOneColumnShareTheDual) {
   // duals must split the objective coefficient, not each claim all of it:
   // y1 * 1 + y2 * 2 = c so the reduced cost lands at exactly zero.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, 2.0);
-  (void)m.add_constraint("e1", {{0, 1.0}}, Sense::Equal, 3.0);
-  (void)m.add_constraint("e2", {{0, 2.0}}, Sense::Equal, 6.0);
+  (void)m.add_continuous(0.0, 10.0, 2.0);
+  (void)m.add_constraint({{0, 1.0}}, Sense::Equal, 3.0);
+  (void)m.add_constraint({{0, 2.0}}, Sense::Equal, 6.0);
   const Solution sol = solve_with(m, true);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.values[0], 3.0, 1e-12);
@@ -134,11 +134,11 @@ TEST(Presolve, TwoEqualitySingletonsOnOneColumnShareTheDual) {
 TEST(Presolve, FixedColumnSubstitutesIntoRows) {
   // z fixed at 3 by its bounds; its term folds into the row rhs.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, -1.0);
-  (void)m.add_continuous("z", 3.0, 3.0, 2.0);
-  (void)m.add_constraint("r", {{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 8.0);
+  (void)m.add_continuous(0.0, 10.0, -1.0);
+  (void)m.add_continuous(3.0, 3.0, 2.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 8.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   EXPECT_EQ(pre.stats().cols_removed, 1);
   pre.build_reduced(m);
   ASSERT_EQ(pre.reduced().num_variables(), 1);
@@ -156,12 +156,12 @@ TEST(Presolve, FixedColumnSubstitutesIntoRows) {
 TEST(Presolve, RedundantRowRemoved) {
   // x + y <= 25 can never bind with x, y in [0, 10].
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, -1.0);
-  (void)m.add_continuous("y", 0.0, 10.0, -1.0);
-  (void)m.add_constraint("loose", {{0, 1.0}, {1, 1.0}}, Sense::LessEqual,
+  (void)m.add_continuous(0.0, 10.0, -1.0);
+  (void)m.add_continuous(0.0, 10.0, -1.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::LessEqual,
                          25.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   EXPECT_EQ(pre.stats().rows_removed, 1);
   EXPECT_EQ(pre.stats().nonzeros_removed, 2);
 
@@ -176,13 +176,13 @@ TEST(Presolve, ImpliedFreeColumnSingletonEliminated) {
   // t appears only in the equality row and its bounds [-100, 100] can never
   // bind given x, y in [0, 4]: t = 10 - x - y stays within [2, 10].
   Model m;
-  (void)m.add_continuous("x", 0.0, 4.0, 1.0);
-  (void)m.add_continuous("y", 0.0, 4.0, 2.0);
-  (void)m.add_continuous("t", -100.0, 100.0, 3.0);
-  (void)m.add_constraint("def", {{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::Equal,
+  (void)m.add_continuous(0.0, 4.0, 1.0);
+  (void)m.add_continuous(0.0, 4.0, 2.0);
+  (void)m.add_continuous(-100.0, 100.0, 3.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::Equal,
                          10.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   EXPECT_EQ(pre.stats().cols_removed, 1);
   EXPECT_EQ(pre.stats().rows_removed, 1);
 
@@ -206,9 +206,9 @@ TEST(Presolve, InfeasibilityDetectedBySingletonConflict) {
   // x >= 5 and x <= 1 cannot both hold: presolve proves it without a
   // single simplex iteration.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, 1.0);
-  (void)m.add_constraint("lo", {{0, 1.0}}, Sense::GreaterEqual, 5.0);
-  (void)m.add_constraint("hi", {{0, 1.0}}, Sense::LessEqual, 1.0);
+  (void)m.add_continuous(0.0, 10.0, 1.0);
+  (void)m.add_constraint({{0, 1.0}}, Sense::GreaterEqual, 5.0);
+  (void)m.add_constraint({{0, 1.0}}, Sense::LessEqual, 1.0);
   const Solution sol = solve_with(m, true);
   EXPECT_EQ(sol.status, Status::Infeasible);
   EXPECT_FALSE(sol.usable());
@@ -220,9 +220,9 @@ TEST(Presolve, InfeasibilityDetectedBySingletonConflict) {
 TEST(Presolve, InfeasibilityDetectedByActivityBounds) {
   // x + y >= 25 with x, y in [0, 10] is impossible.
   Model m;
-  (void)m.add_continuous("x", 0.0, 10.0, 1.0);
-  (void)m.add_continuous("y", 0.0, 10.0, 1.0);
-  (void)m.add_constraint("r", {{0, 1.0}, {1, 1.0}}, Sense::GreaterEqual,
+  (void)m.add_continuous(0.0, 10.0, 1.0);
+  (void)m.add_continuous(0.0, 10.0, 1.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::GreaterEqual,
                          25.0);
   const Solution sol = solve_with(m, true);
   EXPECT_EQ(sol.status, Status::Infeasible);
@@ -233,9 +233,9 @@ TEST(Presolve, EmptyProblemFastPath) {
   // Every variable is fixed and every row is implied: presolve decides the
   // whole program, branch-and-bound never runs.
   Model m;
-  (void)m.add_variable("a", 2.0, 2.0, VarType::Integer, 3.0);
-  (void)m.add_continuous("b", -1.0, -1.0, 5.0);
-  (void)m.add_constraint("r", {{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 4.0);
+  (void)m.add_variable(2.0, 2.0, VarType::Integer, 3.0);
+  (void)m.add_continuous(-1.0, -1.0, 5.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 4.0);
   const Solution sol = solve_with(m, true);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_EQ(sol.nodes_explored, 0);
@@ -251,8 +251,8 @@ TEST(Presolve, IntegerBoundTighteningSkipsBranching) {
   // min -x, x integer in [0, 10], 2x <= 9: presolve tightens x <= 4, so the
   // root LP is already integral; the raw path must branch.
   Model m;
-  const int x = m.add_variable("x", 0.0, 10.0, VarType::Integer, -1.0);
-  (void)m.add_constraint("c", {{x, 2.0}}, Sense::LessEqual, 9.0);
+  const int x = m.add_variable(0.0, 10.0, VarType::Integer, -1.0);
+  (void)m.add_constraint({{x, 2.0}}, Sense::LessEqual, 9.0);
   const Solution on = solve_with(m, true);
   const Solution off = solve_with(m, false);
   ASSERT_EQ(on.status, Status::Optimal);
@@ -276,11 +276,11 @@ TEST(Presolve, LagrangianIdentityHoldsAfterPostsolve) {
     for (int j = 0; j < n; ++j) {
       const double lo = rng.uniform(-2.0, 0.0);
       const double hi = lo + rng.uniform(0.5, 4.0);
-      (void)m.add_continuous("x", lo, hi, rng.uniform(-2.0, 2.0));
+      (void)m.add_continuous(lo, hi, rng.uniform(-2.0, 2.0));
       witness.push_back(lo + 0.5 * (hi - lo));
     }
     // A fixed column, feeding the substitution path.
-    (void)m.add_continuous("fixed", 1.5, 1.5, rng.uniform(-1.0, 1.0));
+    (void)m.add_continuous(1.5, 1.5, rng.uniform(-1.0, 1.0));
     witness.push_back(1.5);
     const int rows = static_cast<int>(rng.uniform_int(2, 6));
     for (int i = 0; i < rows; ++i) {
@@ -296,11 +296,11 @@ TEST(Presolve, LagrangianIdentityHoldsAfterPostsolve) {
         terms.push_back({0, 1.0});
         lhs = witness[0];
       }
-      (void)m.add_constraint("r", std::move(terms), Sense::LessEqual,
+      (void)m.add_constraint(std::move(terms), Sense::LessEqual,
                              lhs + rng.uniform(0.05, 2.0));
     }
     // A guaranteed singleton row that binds for half the trials.
-    (void)m.add_constraint("s", {{0, 1.0}}, Sense::LessEqual,
+    (void)m.add_constraint({{0, 1.0}}, Sense::LessEqual,
                            trial % 2 == 0 ? witness[0]
                                           : m.variable(0).upper + 1.0);
 
@@ -403,27 +403,27 @@ TEST(Presolve, SeedIncumbentSurvivesReduction) {
 
 TEST(Presolve, ReducePointChecksFixings) {
   Model m;
-  (void)m.add_continuous("x", 2.0, 2.0, 1.0);
-  (void)m.add_continuous("y", 0.0, 5.0, 1.0);
-  (void)m.add_constraint("r", {{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 6.0);
+  (void)m.add_continuous(2.0, 2.0, 1.0);
+  (void)m.add_continuous(0.0, 5.0, 1.0);
+  (void)m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 6.0);
   Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
+  ASSERT_EQ(pre.run(m), Presolve::Result::Reduced);
   pre.build_reduced(m);
   std::vector<double> out;
-  EXPECT_TRUE(pre.reduce_point({2.0, 1.0}, &out, 1e-7));
+  EXPECT_TRUE(pre.reduce_point({2.0, 1.0}, &out));
   ASSERT_EQ(out.size(), static_cast<std::size_t>(
                             pre.reduced().num_variables()));
-  EXPECT_FALSE(pre.reduce_point({3.0, 1.0}, &out, 1e-7));  // contradicts fix
-  EXPECT_FALSE(pre.reduce_point({2.0}, &out, 1e-7));       // wrong length
+  EXPECT_FALSE(pre.reduce_point({3.0, 1.0}, &out));  // contradicts fix
+  EXPECT_FALSE(pre.reduce_point({2.0}, &out));       // wrong length
 }
 
 TEST(Presolve, StatusesPassThroughUnchanged) {
   // Unbounded and iteration-limited solves keep their status and counters
   // through postsolve.
   Model m;
-  (void)m.add_continuous("x", 0.0, kInfinity, -1.0);
-  (void)m.add_continuous("z", 1.0, 1.0, 0.0);  // force a reduction
-  (void)m.add_constraint("r", {{0, -1.0}, {1, 1.0}}, Sense::LessEqual, 1.0);
+  (void)m.add_continuous(0.0, kInfinity, -1.0);
+  (void)m.add_continuous(1.0, 1.0, 0.0);  // force a reduction
+  (void)m.add_constraint({{0, -1.0}, {1, 1.0}}, Sense::LessEqual, 1.0);
   const Solution sol = solve_with(m, true);
   EXPECT_EQ(sol.status, Status::Unbounded);
   EXPECT_EQ(solve_with(m, false).status, Status::Unbounded);

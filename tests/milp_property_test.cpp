@@ -30,7 +30,7 @@ TEST_P(LpRandomProperty, FeasibleByConstructionSolvesOptimal) {
   for (int j = 0; j < n; ++j) {
     const double lo = rng.uniform(-3.0, 0.0);
     const double hi = lo + rng.uniform(0.5, 6.0);
-    (void)m.add_continuous("x", lo, hi, rng.uniform(-2.0, 2.0));
+    (void)m.add_continuous(lo, hi, rng.uniform(-2.0, 2.0));
     witness.push_back(lo + 0.5 * (hi - lo));
   }
   for (int i = 0; i < rows; ++i) {
@@ -43,7 +43,7 @@ TEST_P(LpRandomProperty, FeasibleByConstructionSolvesOptimal) {
       lhs += c * witness[static_cast<std::size_t>(j)];
     }
     if (terms.empty()) continue;
-    (void)m.add_constraint("r", std::move(terms), Sense::LessEqual,
+    (void)m.add_constraint(std::move(terms), Sense::LessEqual,
                            lhs + rng.uniform(0.1, 3.0));
   }
 
@@ -116,18 +116,18 @@ TEST_P(AssignmentExhaustive, MilpMatchesBruteForce) {
   for (int j = 0; j < jobs; ++j)
     for (int r = 0; r < regions; ++r)
       x[static_cast<std::size_t>(j)].push_back(m.add_binary(
-          "x", cost[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]));
+          cost[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]));
   for (int j = 0; j < jobs; ++j) {
     std::vector<Term> t;
     for (int r = 0; r < regions; ++r)
       t.push_back({x[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)], 1.0});
-    (void)m.add_constraint("a", std::move(t), Sense::Equal, 1.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 1.0);
   }
   for (int r = 0; r < regions; ++r) {
     std::vector<Term> t;
     for (int j = 0; j < jobs; ++j)
       t.push_back({x[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)], 1.0});
-    (void)m.add_constraint("c", std::move(t), Sense::LessEqual,
+    (void)m.add_constraint(std::move(t), Sense::LessEqual,
                            static_cast<double>(caps[static_cast<std::size_t>(r)]));
   }
   const Solution sol = solve(m);
@@ -168,10 +168,10 @@ TEST_P(KnapsackExhaustive, MilpMatchesEnumeration) {
   Model m;
   std::vector<Term> row;
   for (int i = 0; i < n; ++i) {
-    const int x = m.add_binary("x", -value[static_cast<std::size_t>(i)]);
+    const int x = m.add_binary(-value[static_cast<std::size_t>(i)]);
     row.push_back({x, weight[static_cast<std::size_t>(i)]});
   }
-  (void)m.add_constraint("w", std::move(row), Sense::LessEqual, cap);
+  (void)m.add_constraint(std::move(row), Sense::LessEqual, cap);
   const Solution sol = solve(m);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(-sol.objective, best, 1e-6);

@@ -19,10 +19,10 @@ namespace {
 // Optimum x = 3, y = 1, objective -9.
 Model two_row_lp() {
   Model m;
-  const int x = m.add_continuous("x", 0.0, 10.0, -2.0);
-  const int y = m.add_continuous("y", 0.0, 10.0, -3.0);
-  (void)m.add_constraint("r1", {{x, 1.0}, {y, 1.0}}, Sense::LessEqual, 4.0);
-  (void)m.add_constraint("r2", {{x, 1.0}, {y, 3.0}}, Sense::LessEqual, 6.0);
+  const int x = m.add_continuous(0.0, 10.0, -2.0);
+  const int y = m.add_continuous(0.0, 10.0, -3.0);
+  (void)m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::LessEqual, 4.0);
+  (void)m.add_constraint({{x, 1.0}, {y, 3.0}}, Sense::LessEqual, 6.0);
   return m;
 }
 
@@ -111,10 +111,10 @@ Model dp_knapsack(double* out_best) {
   Model m;
   std::vector<Term> row;
   for (std::size_t i = 0; i < value.size(); ++i) {
-    const int v = m.add_binary("v", -value[i]);
+    const int v = m.add_binary(-value[i]);
     row.push_back({v, static_cast<double>(weight[i])});
   }
-  (void)m.add_constraint("w", row, Sense::LessEqual, static_cast<double>(cap));
+  (void)m.add_constraint(row, Sense::LessEqual, static_cast<double>(cap));
   return m;
 }
 
@@ -155,14 +155,12 @@ std::vector<Model> equivalence_corpus() {
     Model m;
     int v[3][3];
     for (int i = 0; i < 3; ++i)
-      for (int j = 0; j < 3; ++j) v[i][j] = m.add_binary("x", cost[i][j]);
+      for (int j = 0; j < 3; ++j) v[i][j] = m.add_binary(cost[i][j]);
     for (int i = 0; i < 3; ++i)
-      (void)m.add_constraint("row",
-                             {{v[i][0], 1.0}, {v[i][1], 1.0}, {v[i][2], 1.0}},
+      (void)m.add_constraint({{v[i][0], 1.0}, {v[i][1], 1.0}, {v[i][2], 1.0}},
                              Sense::Equal, 1.0);
     for (int j = 0; j < 3; ++j)
-      (void)m.add_constraint("col",
-                             {{v[0][j], 1.0}, {v[1][j], 1.0}, {v[2][j], 1.0}},
+      (void)m.add_constraint({{v[0][j], 1.0}, {v[1][j], 1.0}, {v[2][j], 1.0}},
                              Sense::Equal, 1.0);
     corpus.push_back(std::move(m));
   }
@@ -171,21 +169,21 @@ std::vector<Model> equivalence_corpus() {
     Model m;
     std::vector<Term> row;
     for (int i = 0; i < 18; ++i) {
-      const int v = m.add_binary("v", 1.0 + 1e-9 * i);
+      const int v = m.add_binary(1.0 + 1e-9 * i);
       row.push_back({v, 1.0});
     }
-    (void)m.add_constraint("pick", std::move(row), Sense::Equal, 7.0);
+    (void)m.add_constraint(std::move(row), Sense::Equal, 7.0);
     corpus.push_back(std::move(m));
   }
   corpus.push_back(weak_relaxation_model(10, 3, 4.0));
   {
     // General integer + continuous mix.
     Model m;
-    const int xi = m.add_variable("xi", 0.0, 10.0, VarType::Integer, -1.0);
-    const int y = m.add_binary("y", -1.0);
-    const int xc = m.add_continuous("xc", 0.0, 3.7, -0.5);
-    (void)m.add_constraint("c1", {{xi, 2.0}}, Sense::LessEqual, 9.0);
-    (void)m.add_constraint("c2", {{xc, 1.0}, {y, -10.0}}, Sense::LessEqual,
+    const int xi = m.add_variable(0.0, 10.0, VarType::Integer, -1.0);
+    const int y = m.add_binary(-1.0);
+    const int xc = m.add_continuous(0.0, 3.7, -0.5);
+    (void)m.add_constraint({{xi, 2.0}}, Sense::LessEqual, 9.0);
+    (void)m.add_constraint({{xc, 1.0}, {y, -10.0}}, Sense::LessEqual,
                            0.0);
     corpus.push_back(std::move(m));
   }
@@ -255,17 +253,17 @@ TEST(Degenerate, BealeCycleTerminatesUnderForcedBland) {
   // solve runs under Bland's rule, which must terminate at the known
   // optimum x = (1/25, 0, 1, 0), objective -1/20.
   Model m;
-  const int x1 = m.add_continuous("x1", 0.0, kInfinity, -0.75);
-  const int x2 = m.add_continuous("x2", 0.0, kInfinity, 150.0);
-  const int x3 = m.add_continuous("x3", 0.0, kInfinity, -0.02);
-  const int x4 = m.add_continuous("x4", 0.0, kInfinity, 6.0);
+  const int x1 = m.add_continuous(0.0, kInfinity, -0.75);
+  const int x2 = m.add_continuous(0.0, kInfinity, 150.0);
+  const int x3 = m.add_continuous(0.0, kInfinity, -0.02);
+  const int x4 = m.add_continuous(0.0, kInfinity, 6.0);
   (void)m.add_constraint(
-      "r1", {{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
+      {{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
       Sense::LessEqual, 0.0);
   (void)m.add_constraint(
-      "r2", {{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
+      {{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
       Sense::LessEqual, 0.0);
-  (void)m.add_constraint("r3", {{x3, 1.0}}, Sense::LessEqual, 1.0);
+  (void)m.add_constraint({{x3, 1.0}}, Sense::LessEqual, 1.0);
   SolverOptions opts;
   opts.bland_iterations = 1;
   SimplexSolver s(m, opts);
@@ -285,20 +283,20 @@ TEST(Degenerate, ForcedBlandMatchesDantzigOnDegenerateTransportation) {
   for (int i = 0; i < k; ++i)
     for (int j = 0; j < k; ++j)
       v[static_cast<std::size_t>(i)].push_back(
-          m.add_continuous("t", 0.0, kInfinity, rng.uniform(1.0, 9.0)));
+          m.add_continuous(0.0, kInfinity, rng.uniform(1.0, 9.0)));
   for (int i = 0; i < k; ++i) {
     std::vector<Term> t;
     for (int j = 0; j < k; ++j)
       t.push_back({v[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
                    1.0});
-    (void)m.add_constraint("s", std::move(t), Sense::Equal, 2.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 2.0);
   }
   for (int j = 0; j < k; ++j) {
     std::vector<Term> t;
     for (int i = 0; i < k; ++i)
       t.push_back({v[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
                    1.0});
-    (void)m.add_constraint("d", std::move(t), Sense::Equal, 2.0);
+    (void)m.add_constraint(std::move(t), Sense::Equal, 2.0);
   }
   SimplexSolver dantzig(m);
   const Solution a = dantzig.solve();
@@ -316,10 +314,10 @@ TEST(RatioTest, TieBreakNeverLeavesBounds) {
   // rows; the accepted replacement must not stretch the step by up to tol
   // and push the outgoing basic variable past its bound.
   Model m;
-  const int x = m.add_continuous("x", 0.0, 10.0, -1.0);
-  const int y = m.add_continuous("y", 0.0, 10.0, -1.0 - 1e-12);
+  const int x = m.add_continuous(0.0, 10.0, -1.0);
+  const int y = m.add_continuous(0.0, 10.0, -1.0 - 1e-12);
   for (int r = 0; r < 8; ++r)
-    (void)m.add_constraint("tie", {{x, 1.0}, {y, 1.0}}, Sense::LessEqual, 5.0);
+    (void)m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::LessEqual, 5.0);
   SimplexSolver s(m);
   const Solution sol = s.solve();
   ASSERT_EQ(sol.status, Status::Optimal);

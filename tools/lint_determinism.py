@@ -5,7 +5,7 @@ The repo's standing invariant (ROADMAP.md) is that campaign aggregates are
 byte-identical across thread counts and ablation switches.  clang-tidy and
 the sanitizers catch races and UB, but not the *sources* of run-to-run
 divergence this codebase has actually been bitten by.  This lint enforces
-six repo-specific bans, each escapable only by an explicit justification
+five repo-specific bans, each escapable only by an explicit justification
 comment on the offending line (or, when the 80-column limit forces it, a
 comment-only line immediately above):
 
@@ -43,14 +43,6 @@ raw-thread-or-async
     campaign scenario tasks share one set of workers with the chunk subtasks
     their schedulers spawn; ad-hoc threads are where completion-order commits
     and nested-pool oversubscription sneak in.
-
-solver-path-time-limit
-    Assigning `time_limit_seconds` in the scheduler paths (src/core,
-    src/dc) is banned without a det-ok justification.  A wall-clock solver
-    budget lets machine load decide where branch-and-bound truncates, which
-    changes decision streams run to run; scheduler-path solves must bound
-    work with deterministic node/iteration budgets instead.  The milp
-    library itself, tests, and benches may still set wall-clock limits.
 
 direct-output-in-lib-paths
     `std::cout` / `std::cerr` / `printf` / `fprintf` are banned in the
@@ -106,14 +98,8 @@ PTR_KEYED_RE = re.compile(
     r"\s*\*"
 )
 RAW_THREAD_RE = re.compile(r"std::(?:jthread\b|thread\b(?!_)|async\b)")
-# Assignment only (`=`, not `==`): reading or comparing the limit is fine.
-TIME_LIMIT_RE = re.compile(r"\btime_limit_seconds\s*=(?!=)")
 
-# Rule 5 applies to the scheduler paths, where solves must be budgeted in
-# nodes/iterations (src/milp itself implements the limit and is exempt).
-TIME_LIMIT_PATHS = ("src/core", "src/dc")
-
-# Rule 6 applies to the library paths, which report through counters and
+# Rule 5 applies to the library paths, which report through counters and
 # the obs layer; drivers own stdout/stderr.
 LIB_OUTPUT_PATHS = ("src/core", "src/milp", "src/dc", "src/sched")
 DIRECT_OUTPUT_RE = re.compile(
@@ -129,7 +115,6 @@ RULES = (
     "wall-clock-or-adhoc-rng",
     "pointer-keyed-container",
     "raw-thread-or-async",
-    "solver-path-time-limit",
     "direct-output-in-lib-paths",
 )
 
@@ -197,7 +182,6 @@ def in_any(rel: str, prefixes) -> bool:
 def lint_file(rel: str, text: str) -> list[Finding]:
     findings: list[Finding] = []
     in_solver_path = in_any(rel, SOLVER_PATHS)
-    in_time_limit_path = in_any(rel, TIME_LIMIT_PATHS)
     in_lib_output_path = in_any(rel, LIB_OUTPUT_PATHS)
     wallclock_allowed = in_any(rel, WALLCLOCK_ALLOWED)
     thread_allowed = in_any(rel, THREAD_ALLOWED)
@@ -255,13 +239,6 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                 "raw std::thread/std::async outside util/work_steal.*; "
                 "fan out through the work-stealing pool so commit order "
                 "stays deterministic, or justify with '// det-ok: ...'")
-        if in_time_limit_path and TIME_LIMIT_RE.search(code):
-            report(
-                "solver-path-time-limit",
-                "wall-clock solver budget assigned in a scheduler path; "
-                "machine load would decide where the tree truncates — bound "
-                "the solve with deterministic node/iteration budgets, or "
-                "justify with '// det-ok: ...'")
         if in_lib_output_path and DIRECT_OUTPUT_RE.search(code):
             report(
                 "direct-output-in-lib-paths",
